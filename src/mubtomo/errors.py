@@ -52,8 +52,12 @@ class EmptyGrid(MubTomoError):
     """Phase-space grid with fewer than two samples per axis."""
 
 
-class InsufficientAngles(MubTomoError):
-    """Tomographic inversion needs at least two projection angles."""
+class InsufficientAngles(MubTomoError, ValueError):
+    """Projection angles too few, unevenly spaced or short of a half turn."""
+
+
+class MassOutsideAxis(InvariantViolation):
+    """Projection mass falls outside the s axis; s_max is too small."""
 
 
 class NonHermitianInput(MubTomoError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     ASYMMETRIC,
@@ -22,7 +24,10 @@ from mubtomo.errors import (
     IndexOutOfRange,
     InsufficientAngles,
     InvariantViolation,
+    MassOutsideAxis,
 )
+
+_ASYMMETRIC_96 = gaussian_mixture_grid(96, 6.0, ASYMMETRIC)
 
 
 def _angles(n):
@@ -59,10 +64,24 @@ def test_offset_gaussian_peak_position():
 
 
 def test_mass_conserved_per_row():
-    grid = gaussian_mixture_grid(128, 6.0, ASYMMETRIC)
-    sino = radon_forward(grid, _angles(16), n_s=160)
-    masses = sino.values.sum(axis=1) * sino.ds
-    assert np.max(np.abs(masses - grid.mass())) <= 1e-6 * grid.mass()
+    # the uniform grid has its mass up to the edge: rows must carry the
+    # rectangle-rule mass 4.128, not the 4.0 of the bilinear interpolant
+    ones = PhaseSpaceGrid(values=np.ones((64, 64)), x_min=-1, x_max=1, p_min=-1, p_max=1)
+    cases = [(gaussian_mixture_grid(128, 6.0, ASYMMETRIC), 160), (ones, 32), (ones, 128)]
+    for grid, n_s in cases:
+        sino = radon_forward(grid, _angles(16), n_s=n_s)
+        masses = sino.values.sum(axis=1) * sino.ds
+        assert np.max(np.abs(masses - grid.mass())) <= 1e-6 * grid.mass()
+
+
+def test_axis_rows_are_cell_sums_when_bins_match_cells():
+    """With s_max = x_max and n_s = nx every bin is one cell wide and
+    centred on it, so the theta = 0 and pi/2 rows are exact marginals."""
+    values = np.random.default_rng(3).uniform(0.5, 1.5, size=(48, 48))
+    grid = PhaseSpaceGrid(values=values, x_min=-3, x_max=3, p_min=-3, p_max=3)
+    sino = radon_forward(grid, [0.0, np.pi / 2], n_s=48, s_max=3.0)
+    assert np.max(np.abs(sino.values[0] - values.sum(axis=1) * grid.dp)) <= 1e-12
+    assert np.max(np.abs(sino.values[1] - values.sum(axis=0) * grid.dx)) <= 1e-12
 
 
 def test_linearity():
@@ -107,12 +126,40 @@ def test_rotation_equivariance():
         assert rel_l2(sino_b.values[it], row_a) <= 0.02
 
 
+@settings(max_examples=40, deadline=None)
+@given(theta=st.floats(0.0, np.pi, exclude_max=True) | st.sampled_from([0.0, np.pi / 2]))
+def test_reflected_rows_mirror_and_carry_grid_mass(theta):
+    grid = _ASYMMETRIC_96
+    s_axis, fwd = project_at_angle(grid, theta, n_s=96)
+    _, rev = project_at_angle(grid, theta + np.pi, n_s=96)
+    ds = s_axis[1] - s_axis[0]
+    assert np.max(np.abs(rev - fwd[::-1])) <= 1e-12
+    assert abs(fwd.sum() * ds - grid.mass()) <= 1e-12
+    assert abs(rev.sum() * ds - grid.mass()) <= 1e-12
+
+
+def test_mass_off_the_axis_is_named():
+    """A centred phantom loses the same mass at every angle, which the
+    row-consistency check alone cannot see."""
+    grid = gaussian_mixture_grid(128, 6.0, ISOTROPIC)
+    for s_max in (3.0, 2.5):
+        with pytest.raises(MassOutsideAxis, match="default s_max 8.5"):
+            radon_forward(grid, _angles(8), n_s=128, s_max=s_max)
+    with pytest.raises(MassOutsideAxis):
+        project_at_angle(grid, 0.4, n_s=128, s_max=3.0)
+
+
 def test_forward_validations():
     grid = gaussian_mixture_grid(64, 6.0, ISOTROPIC)
     with pytest.raises(ValueError):
         radon_forward(grid, [0.1, np.pi], n_s=64)  # angle beyond [0, pi)
     with pytest.raises(InvariantViolation):
         radon_forward(grid, [], n_s=64)
+    for n_s, s_max in ((64, -1.0), (64, 0.0), (1, None)):
+        with pytest.raises(InvariantViolation):
+            radon_forward(grid, [0.1], n_s=n_s, s_max=s_max)
+        with pytest.raises(InvariantViolation):
+            project_at_angle(grid, 0.1, n_s=n_s, s_max=s_max)
     with pytest.raises(EmptyGrid):
         PhaseSpaceGrid(values=np.ones((1, 4)), x_min=0, x_max=1, p_min=0, p_max=1)
 
@@ -176,6 +223,16 @@ def test_slice_matches_2d_fft_central_slice():
         assert np.linalg.norm(values - ref) / np.linalg.norm(ref) <= 0.02
 
 
+@pytest.mark.parametrize("n_s", [64, 65, 256, 257])
+def test_slice_matches_dense_dft(n_s):
+    grid = gaussian_mixture_grid(128, 6.0, ASYMMETRIC)
+    sino = radon_forward(grid, _angles(3), n_s=n_s)
+    for it in range(3):
+        r, values = fourier_slice(sino, it)
+        dense = np.exp(1j * np.outer(r, sino.s)) @ (sino.values[it] * sino.ds)
+        assert np.max(np.abs(values - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
 def test_slice_index_range():
     grid = gaussian_mixture_grid(64, 6.0, ISOTROPIC)
     sino = radon_forward(grid, _angles(4), n_s=64)
@@ -235,6 +292,17 @@ def test_nonuniform_angles_rejected():
                     thetas=np.array([0.0, 0.3, 1.2]), s_min=-4, s_max=4)
     with pytest.raises(ValueError):
         inverse_radon(sino, 16, 16)
+
+
+def test_partial_angle_coverage_rejected():
+    grid = gaussian_mixture_grid(64, 6.0, ISOTROPIC)
+    sino = radon_forward(grid, np.arange(45) * (np.pi / 2) / 45, n_s=64)
+    with pytest.raises(InsufficientAngles, match="half turn"):
+        inverse_radon(sino, 32, 32)
+    uneven = Sinogram(values=np.zeros((3, 32)),
+                      thetas=np.array([0.0, 0.3, 1.2]), s_min=-4, s_max=4)
+    with pytest.raises(InsufficientAngles):
+        inverse_radon(uneven, 16, 16)
 
 
 # -------------------------------------------------------------- type checks

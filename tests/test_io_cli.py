@@ -9,7 +9,7 @@ import pytest
 import mubtomo
 from conftest import ISOTROPIC, gaussian_mixture_grid, rel_l2
 from mubtomo import io_formats as iof
-from mubtomo.classical_radon import radon_forward
+from mubtomo.classical_radon import Sinogram, radon_forward
 from mubtomo.cli import main
 from mubtomo.cv_wigner import density_from_wavefunction, ground_state
 from mubtomo.errors import FormatError, InvariantViolation
@@ -203,6 +203,30 @@ def test_cli_radon_iradon_round_trip(tmp_path):
                  "--xmax", "6", "--pmax", "6", "--out", str(rfile)]) == 0
     rec = iof.read_grid(rfile)
     assert rel_l2(rec.values, grid.values) <= 0.05
+
+
+def test_cli_radon_names_mass_off_the_axis(tmp_path, capsys):
+    gfile = tmp_path / "g.json"
+    iof.write_grid(gfile, gaussian_mixture_grid(128, 6.0, ISOTROPIC))
+    code = main(["radon", "--in", str(gfile), "--angles", "8", "--smax", "3",
+                 "--out", str(tmp_path / "s.json")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith("MassOutsideAxis:")
+
+
+@pytest.mark.parametrize("thetas", [
+    np.array([0.0, 0.3, 1.2]),  # uneven
+    np.arange(45) * (np.pi / 2) / 45,  # even, but a quarter turn
+])
+def test_cli_iradon_rejects_angle_sets(tmp_path, capsys, thetas):
+    sfile = tmp_path / "s.json"
+    iof.write_sinogram(sfile, Sinogram(values=np.zeros((thetas.size, 32)), thetas=thetas,
+                                       s_min=-4, s_max=4))
+    code = main(["iradon", "--in", str(sfile), "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith("InsufficientAngles:")
 
 
 def test_cli_wigner_from_wavefunction(tmp_path):
