@@ -19,10 +19,21 @@ matrix element only up to the constant propagator phase
 exp(-i (pi/4 - theta/2)); every sandwiched (measurable) quantity is
 insensitive to that phase.
 
+A quadrature distribution is the kernel sandwich dx^2 k^dagger rho k, but
+the kernel is never built for it. In the sandwich the s^2 chirp cancels;
+what is left are the sums a_m along the m-th subdiagonal of the density
+chirped by c_j = exp(i cos x_j^2 / (2 sin)), weighted by
+exp(-i s m dx / sin). On a uniform s axis that weighted sum is a chirp-z
+transform, which Bluestein's identity turns into one FFT convolution: a
+row costs O(n^2) for the diagonal sums plus O(L log L) with
+L >= n + n_s - 1, against O(n^3) for the dense sandwich.
+
 Near sin(theta) = 0 the kernel is too oscillatory to sample on the
 position grid, so distributions there are evaluated in the momentum
-representation instead, where the same kernel applies with the angle
-shifted by pi/2. The effective |sin| never drops below sqrt(2)/2.
+representation instead, where the same formula applies with the angle
+shifted by pi/2. The effective |sin| never drops below sqrt(2)/2. The
+momentum representation is sampled on the mirrored grid p_k = x_k;
+momentum mass beyond it raises MomentumOutsideGrid.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .classical_radon import PhaseSpaceGrid, Sinogram, inverse_radon
 from .errors import (
@@ -37,6 +49,7 @@ from .errors import (
     DegenerateAngle,
     InsufficientAngles,
     InvariantViolation,
+    MomentumOutsideGrid,
     NonHermitianInput,
 )
 
@@ -44,6 +57,13 @@ _HERMITIAN_TOL = 1e-10
 _TRACE_TOL = 1e-6
 _IMAG_RESIDUE_TOL = 1e-8
 _SIN_EPS = 1e-9
+# Rows from the momentum representation carry its trace, rows from the position
+# side the position trace, and Sinogram holds all rows to one mass within 1e-6;
+# a larger momentum shortfall would surface there as a generic mismatch.
+_MOMENTUM_MASS_TOL = 1e-6
+# Angles per batched chirp-z: small enough that the per-chunk buffers stay
+# far below the density matrix itself.
+_CHIRP_Z_CHUNK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,12 +237,36 @@ def kernel_overlap(
 def _momentum_representation(rho: PositionDensityMatrix) -> np.ndarray:
     """<p|rho|p'> sampled on the mirrored grid p_k = x_k.
 
-    Valid when the state's momentum support fits inside the position
-    extents, which holds for the desk-scale test states.
+    Valid while the state's momentum support fits inside the position
+    extents. Mass beyond them is missing from the diagonal of the result;
+    a shortfall against the position trace above _MOMENTUM_MASS_TOL
+    raises MomentumOutsideGrid, naming the |x| extent that would hold it.
     """
     x = rho.x
     F = np.exp(-1j * np.outer(x, x)) * rho.dx / np.sqrt(2 * np.pi)
-    return F @ rho.values @ F.conj().T
+    rho_p = F @ rho.values @ F.conj().T
+    trace_x = np.sum(np.real(np.diagonal(rho.values))) * rho.dx
+    lost = float(trace_x - np.sum(np.real(np.diagonal(rho_p))) * rho.dx)
+    if lost > _MOMENTUM_MASS_TOL:
+        raise MomentumOutsideGrid(
+            f"momentum mass {lost:.3g} lies outside the mirrored grid "
+            f"p in [{rho.x_min:.4g}, {rho.x_max:.4g}]; the x grid must reach "
+            f"|x| >= {_momentum_reach(rho):.3g} to hold it"
+        )
+    return rho_p
+
+
+def _momentum_reach(rho: PositionDensityMatrix) -> float:
+    """Smallest P leaving at most _MOMENTUM_MASS_TOL of momentum mass at |p| > P.
+
+    The theta = pi/2 row of the position representation is the momentum
+    density; over one period [-pi/dx, pi/dx] it holds all of it.
+    """
+    p = np.linspace(-np.pi / rho.dx, np.pi / rho.dx, 2 * rho.n + 1)
+    density = _chirp_z_rows(_skew(rho.values), rho.x, np.array([np.pi / 2]), p)[0]
+    order = np.argsort(-np.abs(p), kind="stable")
+    beyond = np.cumsum(density[order]) * (p[1] - p[0])  # mass at |p| >= |p[order[i]]|
+    return float(np.abs(p[order[np.count_nonzero(beyond <= _MOMENTUM_MASS_TOL)]]))
 
 
 def _check_alias(dx: float, s_eff: float, axis_max: float):
@@ -234,39 +278,100 @@ def _check_alias(dx: float, s_eff: float, axis_max: float):
         )
 
 
+def _skew(values: np.ndarray) -> np.ndarray:
+    """R[m, j] = values[j + m, j]: row m holds the m-th subdiagonal, zero-padded."""
+    n = values.shape[0]
+    R = np.zeros((n, n), dtype=complex)
+    for m in range(n):
+        R[m, : n - m] = np.diagonal(values, offset=-m)
+    return R
+
+
+def _chirp_z_rows(R: np.ndarray, x: np.ndarray, thetas: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Quadrature rows from the skewed density R at angles with sin != 0.
+
+    In the kernel sandwich the s^2 chirp cancels. With S = sin, C = cos and
+    c_j = exp(i C x_j^2 / (2S)), the wrapped-diagonal sums
+    a_m = sum_j R[m, j] c_{j+m} conj(c_j) of the chirped density give
+
+        p(s) = dx^2 / (2 pi |S|) [a_0 + 2 Re sum_{m>=1} a_m exp(-i s m dx / S)],
+
+    since a_{-m} = conj(a_m) by Hermiticity. On the uniform axis
+    s_k = s_0 + k ds the sum is a chirp-z transform; Bluestein's identity
+    m k = (m^2 + k^2 - (k - m)^2) / 2 turns it into one FFT convolution.
+    Angles run in chunks of _CHIRP_Z_CHUNK.
+    """
+    n, n_s = x.size, s.size
+    dx = (x[-1] - x[0]) / (n - 1)
+    ds = (s[-1] - s[0]) / (n_s - 1)
+    m = np.arange(n)
+    k = np.arange(n_s)
+    back = m[:0:-1]  # lags -(n-1) .. -1 wrap to the end of the FFT buffer
+    fft_len = 1 << (n + n_s - 2).bit_length()  # >= n + n_s - 1: no wrap-around
+    half_a0 = np.where(m == 0, 0.5, 1.0)
+    rows = np.empty((thetas.size, n_s))
+    for lo in range(0, thetas.size, _CHIRP_Z_CHUNK):
+        th = thetas[lo:lo + _CHIRP_Z_CHUNK, None]
+        S, C = np.sin(th), np.cos(th)
+        c = np.exp(1j * (C / (2 * S)) * x * x)
+        c_shifted = sliding_window_view(np.pad(c, ((0, 0), (0, n - 1))), n, axis=1)
+        a = np.einsum("mj,bj,bmj->bm", R, c.conj(), c_shifted)  # c_shifted[b, m, j] = c[b, j + m]
+        beta = ds * dx / S
+        y = half_a0 * a * np.exp(-1j * (m * dx / S) * (s[0] + m * ds / 2))
+        h = np.zeros((th.shape[0], fft_len), dtype=complex)
+        h[:, :n_s] = np.exp(0.5j * beta * k * k)
+        h[:, fft_len - n + 1:] = np.exp(0.5j * beta * back * back)
+        conv = np.fft.ifft(np.fft.fft(y, fft_len) * np.fft.fft(h), axis=1)[:, :n_s]
+        X = h[:, :n_s].conj() * conv
+        rows[lo:lo + _CHIRP_Z_CHUNK] = dx**2 / (2 * np.pi * np.abs(S)) * 2 * np.real(X)
+    return rows
+
+
+def _quadrature_rows(
+    rho: PositionDensityMatrix, thetas: np.ndarray, s: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows <s,theta| rho |s,theta> for every angle, and the checked s axis."""
+    bad = (thetas < 0) | (thetas >= np.pi)
+    if np.any(bad):
+        raise ValueError(f"theta = {thetas[bad][0]} outside [0, pi)")
+    x = rho.x
+    s = x if s is None else np.asarray(s, dtype=float)
+    steps = np.diff(s)
+    if s.size < 2 or np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
+        raise InvariantViolation("s axis must be uniformly increasing")
+
+    # Each angle is evaluated in whichever of the position / momentum
+    # representations keeps |sin| of the effective angle >= sqrt(2)/2.
+    axis_max = max(abs(rho.x_min), abs(rho.x_max))
+    exact = thetas < _SIN_EPS
+    position = ~exact & (np.abs(np.sin(thetas)) >= np.abs(np.cos(thetas)))
+    momentum = ~exact & ~position
+    for th in thetas[position]:
+        _check_alias(rho.dx, np.sin(th), axis_max)
+    for th in thetas[momentum]:
+        _check_alias(rho.dx, np.cos(th), axis_max)
+
+    rows = np.empty((thetas.size, s.size))
+    rows[exact] = np.interp(s, x, np.real(np.diagonal(rho.values)))
+    if np.any(position):
+        rows[position] = _chirp_z_rows(_skew(rho.values), x, thetas[position], s)
+    if np.any(momentum):
+        rho_p = _momentum_representation(rho)
+        rows[momentum] = _chirp_z_rows(_skew(rho_p), x, thetas[momentum] - np.pi / 2, s)
+    return rows, s
+
+
 def quadrature_distribution(
-    rho: PositionDensityMatrix,
-    theta: float,
-    s: np.ndarray | None = None,
-    _rho_p: np.ndarray | None = None,
+    rho: PositionDensityMatrix, theta: float, s: np.ndarray | None = None
 ) -> np.ndarray:
     """Measurable distribution <s,theta| rho |s,theta> on the s axis.
 
-    theta = 0 returns the position diagonal directly. Otherwise the row
-    is the kernel sandwich dx^2 k^dagger rho k, evaluated in whichever of
-    the position / momentum representations leaves the kernel least
-    oscillatory (|sin| of the effective angle >= sqrt(2)/2).
+    The one-angle case of ``quadrature_sinogram``, with the same rules: s
+    defaults to rho's x axis and must be uniformly increasing
+    (InvariantViolation otherwise).
     """
-    if not 0 <= theta < np.pi:
-        raise ValueError(f"theta = {theta} outside [0, pi)")
-    x = rho.x
-    if s is None:
-        s = x
-    s = np.asarray(s, dtype=float)
-    if theta < _SIN_EPS:
-        return np.interp(s, x, np.real(np.diagonal(rho.values)))
-
-    axis_max = max(abs(rho.x_min), abs(rho.x_max))
-    if abs(np.sin(theta)) >= abs(np.cos(theta)):
-        _check_alias(rho.dx, np.sin(theta), axis_max)
-        K = quadrature_kernel(x[:, None], s[None, :], theta)
-        sandwich = rho.values @ K
-    else:
-        _check_alias(rho.dx, np.cos(theta), axis_max)
-        rho_p = _momentum_representation(rho) if _rho_p is None else _rho_p
-        K = quadrature_kernel(x[:, None], s[None, :], theta - np.pi / 2)
-        sandwich = rho_p @ K
-    return rho.dx**2 * np.real(np.sum(np.conj(K) * sandwich, axis=0))
+    rows, _ = _quadrature_rows(rho, np.array([float(theta)]), s)
+    return rows[0]
 
 
 def quadrature_sinogram(
@@ -274,22 +379,17 @@ def quadrature_sinogram(
 ) -> Sinogram:
     """Stack quadrature distributions for many angles into a Sinogram.
 
-    The s axis defaults to rho's x axis. The momentum representation is
-    formed once and shared by every angle that needs it.
+    The s axis defaults to rho's x axis and must be uniformly increasing
+    (InvariantViolation otherwise). theta = 0 gives the position diagonal,
+    interpolated onto s. Every other row is a chirp-z transform of the
+    wrapped-diagonal sums of the chirped density, O(n^2) per angle where
+    the kernel sandwich costs O(n^3). Angles with |sin| < |cos| use the
+    momentum representation, formed once, at theta - pi/2.
     """
     thetas = np.asarray(thetas, dtype=float)
-    if s is None:
-        s = rho.x
-    s = np.asarray(s, dtype=float)
-    steps = np.diff(s)
-    if s.size < 2 or np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
-        raise InvariantViolation("s axis must be uniformly increasing")
-    rho_p = None
-    if np.any((thetas >= _SIN_EPS) & (np.abs(np.sin(thetas)) < np.abs(np.cos(thetas)))):
-        rho_p = _momentum_representation(rho)
-    rows = np.array(
-        [quadrature_distribution(rho, th, s, _rho_p=rho_p) for th in thetas]
-    )
+    if thetas.ndim != 1 or thetas.size == 0:
+        raise InvariantViolation("thetas must be a nonempty 1D sequence")
+    rows, s = _quadrature_rows(rho, thetas, s)
     return Sinogram(values=rows, thetas=thetas, s_min=float(s[0]), s_max=float(s[-1]))
 
 

@@ -70,6 +70,10 @@ class AliasedGrid(MubTomoError):
     exit_code = 4
 
 
+class MomentumOutsideGrid(AliasedGrid):
+    """Momentum support reaches past the mirrored grid p_k = x_k."""
+
+
 class DegenerateAngle(MubTomoError):
     """Quadrature kernel evaluated at sin(theta) = 0."""
 

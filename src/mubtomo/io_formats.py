@@ -68,9 +68,9 @@ def _need(doc: dict, key: str, path) -> object:
 
 
 def _dump(path, doc: dict):
+    text = json.dumps(doc) + "\n"  # dumps runs the C encoder; dump does not
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(text)
 
 
 def peek_kind(path) -> str:

@@ -1,5 +1,10 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import rel_l2
 from mubtomo.classical_radon import Sinogram, project_at_angle
@@ -21,10 +26,26 @@ from mubtomo.errors import (
     DegenerateAngle,
     InsufficientAngles,
     InvariantViolation,
+    MomentumOutsideGrid,
     NonHermitianInput,
 )
 
 X8 = np.linspace(-8.0, 8.0, 256)
+
+
+def dense_quadrature_row(rho, theta, s):
+    """Oracle: the kernel sandwich dx^2 k^dagger rho k with the n x n kernel,
+    in the representation the library picks for theta."""
+    x = rho.x
+    if theta < 1e-9:
+        return np.interp(s, x, np.real(np.diagonal(rho.values)))
+    values = rho.values
+    if abs(np.sin(theta)) < abs(np.cos(theta)):
+        F = np.exp(-1j * np.outer(x, x)) * rho.dx / np.sqrt(2 * np.pi)
+        values = F @ values @ F.conj().T
+        theta = theta - np.pi / 2
+    K = quadrature_kernel(x[:, None], s[None, :], theta)
+    return rho.dx**2 * np.real(np.sum(np.conj(K) * (values @ K), axis=0))
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +212,91 @@ def test_quadrature_sinogram_rows(rho1):
     assert np.min(sino.values) >= -1e-8
     integrals = sino.values.sum(axis=1) * sino.ds
     assert np.max(np.abs(integrals - 1.0)) <= 1e-4
+
+
+@st.composite
+def mixed_states(draw):
+    """Mixtures of up to three distorted coherent states, centres within 0.8
+    of the origin, on n in [33, 129] over [-L, L]; L = min(8, sqrt(n - 1))
+    keeps dx under the alias bound at |sin| = sqrt(2)/2 and holds the
+    momentum support."""
+    n = draw(st.integers(33, 129))
+    L = min(8.0, np.sqrt(n - 1.0))
+    x = np.linspace(-L, L, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.zeros((n, n), dtype=complex)
+    for _ in range(draw(st.integers(1, 3))):
+        x0, p0 = rng.uniform(-0.8, 0.8, size=2)
+        bend = complex(*rng.uniform(-0.3, 0.3, size=2))
+        psi = np.exp(-((x - x0) ** 2) / 2 + 1j * p0 * x) * (1 + bend * (x - x0))
+        values += rng.uniform(0.1, 1.0) * np.outer(psi, psi.conj())
+    values /= np.sum(np.real(np.diagonal(values))) * (x[1] - x[0])
+    return PositionDensityMatrix(values=values, x_min=-L, x_max=L)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rho=mixed_states(),
+    extra=st.lists(st.floats(0.0, np.pi, exclude_max=True), max_size=6),
+    stride=st.sampled_from([1, 2]),
+    data=st.data(),
+)
+def test_sinogram_matches_dense_sandwich(rho, extra, stride, data):
+    """Chirp-z rows equal the dense kernel sandwich on an s axis that differs
+    from x in length and range; 0, pi/4, pi/2 and 3 pi/4 are always in, and
+    pi/4 and 3 pi/4 sit on either side of the position / momentum switch.
+
+    s runs over every first or second x lattice point, from up to n/16
+    cells before or after x_min to up to n/16 cells either side of x_max:
+    the theta = 0 row is then an exact diagonal, so every row carries the
+    same mass, which Sinogram checks."""
+    n = rho.n
+    reach = n // 16
+    first = data.draw(st.integers(-reach, reach).filter(bool))
+    last = n - 1 + data.draw(st.integers(-reach, reach))
+    n_s = (last - first) // stride + 1
+    assume(n_s != n)
+    s = rho.x_min + rho.dx * (first + stride * np.arange(n_s))
+    thetas = np.array([0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4] + extra)
+    sino = quadrature_sinogram(rho, thetas, s)
+    for row, theta in zip(sino.values, thetas):
+        want = dense_quadrature_row(rho, theta, s)
+        assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_quadrature_rejects_bad_axes(rho0):
+    s = np.concatenate([np.linspace(-8.0, 0.0, 100), np.linspace(0.1, 8.0, 50)])
+    for theta in (0.0, 0.8, np.pi / 2):
+        with pytest.raises(InvariantViolation, match="uniformly increasing"):
+            quadrature_distribution(rho0, theta, s)
+    with pytest.raises(InvariantViolation, match="uniformly increasing"):
+        quadrature_sinogram(rho0, [0.0, np.pi / 2], s)
+    with pytest.raises(InvariantViolation, match="nonempty"):
+        quadrature_sinogram(rho0, [])
+
+
+@pytest.mark.parametrize("p0", [5.0, 6.0])
+def test_momentum_outside_grid_is_named(p0):
+    """A boost e^{i p0 x} pushes momentum mass past |p| = 8, the mirrored
+    grid edge; the error names the lost mass and an |x| extent that holds
+    all but 1e-6 of it, resolved to the reach estimate's 0.2 step. The
+    rectangle rule gives the edge sample p = 8 a cell reaching 8 + dx/2."""
+    rho = density_from_wavefunction(ground_state(X8) * np.exp(1j * p0 * X8), -8.0, 8.0)
+    with pytest.raises(MomentumOutsideGrid) as info:
+        quadrature_sinogram(rho, np.arange(12) * np.pi / 12)
+    assert isinstance(info.value, AliasedGrid)
+    edge = 8.0 + (X8[1] - X8[0]) / 2
+    lost = 0.5 * math.erfc(edge - p0)  # |psi(p)|^2 = exp(-(p - p0)^2) / sqrt(pi)
+    got_lost, reach = (float(v) for v in re.search(
+        r"momentum mass (\S+) .* \|x\| >= (\S+) ", str(info.value)).groups())
+    assert abs(got_lost - lost) <= 0.03 * lost
+    assert 0.5 * math.erfc(reach - p0) <= 1e-6 < 0.5 * math.erfc(reach - p0 - 0.25)
+
+
+def test_momentum_just_inside_grid_passes():
+    rho = density_from_wavefunction(ground_state(X8) * np.exp(4.5j * X8), -8.0, 8.0)
+    sino = quadrature_sinogram(rho, np.arange(12) * np.pi / 12)
+    assert np.max(np.abs(sino.values.sum(axis=1) * sino.ds - 1.0)) <= 1e-6
 
 
 # ---------------------------------------------------------- reconstruction

@@ -258,6 +258,17 @@ def test_cli_quads_then_reconstruct_cv(tmp_path, capsys):
     assert np.max(np.abs(diag - exact)) <= 0.05 * exact.max()
 
 
+def test_cli_quads_names_momentum_outside_grid(tmp_path, capsys):
+    x = np.linspace(-8, 8, 256)
+    pfile = tmp_path / "psi.json"
+    iof.write_wavefunction(pfile, ground_state(x) * np.exp(5j * x), -8, 8)
+    code = main(["quads", "--state", str(pfile), "--angles", "12",
+                 "--out", str(tmp_path / "q.json")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.count("\n") == 1 and err.startswith("MomentumOutsideGrid:")
+
+
 def test_cli_usage_errors(tmp_path, capsys):
     assert main(["bogus"]) == 2
     assert main(["simulate", "--dim", "3", "--state", str(tmp_path / "absent.json"),
