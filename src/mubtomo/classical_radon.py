@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import freeze_fields
 from .errors import (EmptyGrid, IndexOutOfRange, InsufficientAngles, InvariantViolation,
                      MassOutsideAxis)
 
@@ -50,9 +51,7 @@ class PhaseSpaceGrid:
             raise InvariantViolation("grid contains non-finite values")
         if not (self.x_min < self.x_max and self.p_min < self.p_max):
             raise InvariantViolation("grid extents must be ordered")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        freeze_fields(self, values=vals)
 
     @property
     def nx(self) -> int:
@@ -112,12 +111,7 @@ class Sinogram:
         mean = float(np.mean(masses))
         if np.max(np.abs(masses - mean)) > _ROW_MASS_TOL * max(1.0, abs(mean)):
             raise InvariantViolation("projection rows carry inconsistent total mass")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        thetas = thetas.copy()
-        thetas.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "thetas", thetas)
+        freeze_fields(self, values=vals, thetas=thetas)
 
     @property
     def n_theta(self) -> int:

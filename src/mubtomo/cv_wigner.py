@@ -43,12 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._frozen import freeze_fields
 from .classical_radon import PhaseSpaceGrid, Sinogram, inverse_radon
 from .errors import (
     AliasedGrid,
     DegenerateAngle,
-    InsufficientAngles,
     InvariantViolation,
+    MassOutsideAxis,
     MomentumOutsideGrid,
     NonHermitianInput,
 )
@@ -57,10 +58,10 @@ _HERMITIAN_TOL = 1e-10
 _TRACE_TOL = 1e-6
 _IMAG_RESIDUE_TOL = 1e-8
 _SIN_EPS = 1e-9
-# Rows from the momentum representation carry its trace, rows from the position
-# side the position trace, and Sinogram holds all rows to one mass within 1e-6;
-# a larger momentum shortfall would surface there as a generic mismatch.
-_MOMENTUM_MASS_TOL = 1e-6
+# Mass that the momentum representation or a row may lose against the position
+# trace; Sinogram holds all rows to one mass within the same 1e-6, so a larger
+# loss would surface there as a generic mismatch.
+_MASS_TOL = 1e-6
 # Angles per batched chirp-z: small enough that the per-chunk buffers stay
 # far below the density matrix itself.
 _CHIRP_Z_CHUNK = 16
@@ -91,9 +92,7 @@ class PositionDensityMatrix:
         trace = float(np.sum(np.real(np.diagonal(vals))) * dx)
         if abs(trace - 1.0) > _TRACE_TOL:
             raise InvariantViolation(f"trace integral is {trace:.8f}, expected 1")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        freeze_fields(self, values=vals)
 
     @property
     def n(self) -> int:
@@ -239,7 +238,7 @@ def _momentum_representation(rho: PositionDensityMatrix) -> np.ndarray:
 
     Valid while the state's momentum support fits inside the position
     extents. Mass beyond them is missing from the diagonal of the result;
-    a shortfall against the position trace above _MOMENTUM_MASS_TOL
+    a shortfall against the position trace above _MASS_TOL
     raises MomentumOutsideGrid, naming the |x| extent that would hold it.
     """
     x = rho.x
@@ -247,7 +246,7 @@ def _momentum_representation(rho: PositionDensityMatrix) -> np.ndarray:
     rho_p = F @ rho.values @ F.conj().T
     trace_x = np.sum(np.real(np.diagonal(rho.values))) * rho.dx
     lost = float(trace_x - np.sum(np.real(np.diagonal(rho_p))) * rho.dx)
-    if lost > _MOMENTUM_MASS_TOL:
+    if lost > _MASS_TOL:
         raise MomentumOutsideGrid(
             f"momentum mass {lost:.3g} lies outside the mirrored grid "
             f"p in [{rho.x_min:.4g}, {rho.x_max:.4g}]; the x grid must reach "
@@ -257,7 +256,7 @@ def _momentum_representation(rho: PositionDensityMatrix) -> np.ndarray:
 
 
 def _momentum_reach(rho: PositionDensityMatrix) -> float:
-    """Smallest P leaving at most _MOMENTUM_MASS_TOL of momentum mass at |p| > P.
+    """Smallest P leaving at most _MASS_TOL of momentum mass at |p| > P.
 
     The theta = pi/2 row of the position representation is the momentum
     density; over one period [-pi/dx, pi/dx] it holds all of it.
@@ -266,7 +265,7 @@ def _momentum_reach(rho: PositionDensityMatrix) -> float:
     density = _chirp_z_rows(_skew(rho.values), rho.x, np.array([np.pi / 2]), p)[0]
     order = np.argsort(-np.abs(p), kind="stable")
     beyond = np.cumsum(density[order]) * (p[1] - p[0])  # mass at |p| >= |p[order[i]]|
-    return float(np.abs(p[order[np.count_nonzero(beyond <= _MOMENTUM_MASS_TOL)]]))
+    return float(np.abs(p[order[np.count_nonzero(beyond <= _MASS_TOL)]]))
 
 
 def _check_alias(dx: float, s_eff: float, axis_max: float):
@@ -342,9 +341,12 @@ def _quadrature_rows(
 
     # Each angle is evaluated in whichever of the position / momentum
     # representations keeps |sin| of the effective angle >= sqrt(2)/2.
+    # theta = 0 is the position diagonal itself while s runs over x lattice
+    # points; off them the momentum representation (|sin| = 1) gives it.
     axis_max = max(abs(rho.x_min), abs(rho.x_max))
-    exact = thetas < _SIN_EPS
-    position = ~exact & (np.abs(np.sin(thetas)) >= np.abs(np.cos(thetas)))
+    cells = (s - rho.x_min) / rho.dx
+    exact = (thetas < _SIN_EPS) & (np.max(np.abs(cells - np.rint(cells))) <= 1e-9)
+    position = np.abs(np.sin(thetas)) >= np.abs(np.cos(thetas))
     momentum = ~exact & ~position
     for th in thetas[position]:
         _check_alias(rho.dx, np.sin(th), axis_max)
@@ -358,6 +360,12 @@ def _quadrature_rows(
     if np.any(momentum):
         rho_p = _momentum_representation(rho)
         rows[momentum] = _chirp_z_rows(_skew(rho_p), x, thetas[momentum] - np.pi / 2, s)
+    trace = np.sum(np.real(np.diagonal(rho.values))) * rho.dx
+    lost = trace - rows.sum(axis=1) * (s[-1] - s[0]) / (s.size - 1)
+    worst = int(np.argmax(lost))
+    if lost[worst] > _MASS_TOL:
+        raise MassOutsideAxis(f"the theta = {thetas[worst]:.6g} row misses {lost[worst]:.3g} of "
+                              f"the trace {trace:.6g} outside s in [{s[0]:.4g}, {s[-1]:.4g}]")
     return rows, s
 
 
@@ -380,11 +388,13 @@ def quadrature_sinogram(
     """Stack quadrature distributions for many angles into a Sinogram.
 
     The s axis defaults to rho's x axis and must be uniformly increasing
-    (InvariantViolation otherwise). theta = 0 gives the position diagonal,
-    interpolated onto s. Every other row is a chirp-z transform of the
-    wrapped-diagonal sums of the chirped density, O(n^2) per angle where
-    the kernel sandwich costs O(n^3). Angles with |sin| < |cos| use the
-    momentum representation, formed once, at theta - pi/2.
+    (InvariantViolation otherwise). theta = 0 gives the position diagonal
+    where s runs over x lattice points. Every other row is a chirp-z
+    transform of the wrapped-diagonal sums of the chirped density, O(n^2)
+    per angle where the kernel sandwich costs O(n^3). Angles with
+    |sin| < |cos|, and theta = 0 off the lattice, use the momentum
+    representation, formed once, at theta - pi/2. A row that misses more
+    than 1e-6 of the trace off the s axis raises MassOutsideAxis.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1 or thetas.size == 0:
@@ -409,8 +419,6 @@ def reconstruct_wigner(
     module: the quadrature set of a state is the Radon transform of its
     Wigner function. Negative values are genuine and are not clamped.
     """
-    if quads.n_theta < 2:
-        raise InsufficientAngles(f"{quads.n_theta} angle(s); need at least 2")
     nx = quads.n_s if nx is None else nx
     n_p = quads.n_s if n_p is None else n_p
     return inverse_radon(
@@ -439,8 +447,6 @@ def reconstruct_density_continuous(
     before the final renormalization; it should sit near 1 for
     well-resolved data and is a useful discretization-error report.
     """
-    if quads.n_theta < 2:
-        raise InsufficientAngles(f"{quads.n_theta} angle(s); need at least 2")
     reach = min(abs(quads.s_min), abs(quads.s_max))
     x_max = reach / np.sqrt(2.0) if x_max is None else float(x_max)
     n_x = (quads.n_s + 1) // 2 if n_x is None else int(n_x)

@@ -11,7 +11,8 @@ Basis b (b = 0..d-1) diagonalises X Z^b; its column c is
     |b;c> = d^{-1/2} sum_n omega^{b n(n-1)/2 - c n} |n>
 
 with eigenvalue omega^c. All phase exponents are reduced exactly mod d as
-integers before a single complex exponential, so no rounding accumulates.
+integers and then pick one of the d amplitudes omega^k / sqrt(d), each a
+single complex exponential, so no rounding accumulates.
 The amplitude at n = 0 is the positive real d^{-1/2}; this pins the free
 global phase of each ket and makes serialization reproducible.
 """
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import freeze_fields
 from .errors import IndexOutOfRange, InvariantViolation
 from .finite_field import PrimeModulus
 
@@ -55,23 +57,27 @@ def weyl_operator(modulus: PrimeModulus, m: int, l: int) -> np.ndarray:
     return M
 
 
+def _mub_amplitudes(d: int, b: int, c) -> np.ndarray:
+    """Amplitudes <n|b;c> along axis 0, broadcast over an array of labels c."""
+    n = np.arange(d).reshape((d,) + (1,) * np.ndim(c))
+    expo = (b * (n * (n - 1) // 2) - np.asarray(c) * n) % d
+    return (np.exp(2j * np.pi * np.arange(d) / d) / np.sqrt(d))[expo]
+
+
 def mub_vector(modulus: PrimeModulus, b: int, c: int) -> np.ndarray:
     """Ket |b;c> in the computational basis, unit norm."""
     d = modulus.d
     if not (0 <= b < d and 0 <= c < d):
         raise IndexOutOfRange(f"(b, c) = ({b}, {c}) outside [0, {d})^2")
-    n = np.arange(d)
-    expo = (b * (n * (n - 1) // 2) - c * n) % d
-    return np.exp(2j * np.pi * expo / d) / np.sqrt(d)
+    return _mub_amplitudes(d, b, c)
 
 
 def basis_matrix(modulus: PrimeModulus, b: int) -> np.ndarray:
     """Unitary whose column c is |b;c>."""
     d = modulus.d
-    U = np.empty((d, d), dtype=complex)
-    for c in range(d):
-        U[:, c] = mub_vector(modulus, b, c)
-    return U
+    if not 0 <= b < d:
+        raise IndexOutOfRange(f"b = {b} outside [0, {d})")
+    return _mub_amplitudes(d, b, np.arange(d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,17 +98,13 @@ class MubBasisSet:
                 f"expected {self.dim + 1} bases for d = {self.dim}, got {len(self.bases)}"
             )
         eye = np.eye(self.dim)
-        frozen = []
-        for k, U in enumerate(self.bases):
-            U = np.asarray(U, dtype=complex)
+        bases = tuple(np.asarray(U, dtype=complex) for U in self.bases)
+        for k, U in enumerate(bases):
             if U.shape != (self.dim, self.dim):
                 raise InvariantViolation(f"basis {k} has shape {U.shape}")
             if np.max(np.abs(U.conj().T @ U - eye)) > _UNITARY_TOL:
                 raise InvariantViolation(f"basis {k} is not unitary within {_UNITARY_TOL}")
-            U = U.copy()
-            U.setflags(write=False)
-            frozen.append(U)
-        object.__setattr__(self, "bases", tuple(frozen))
+        freeze_fields(self, bases=bases)
 
 
 def build_mub_set(modulus: PrimeModulus) -> MubBasisSet:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import freeze_fields
 from .errors import DimensionMismatch, InvariantViolation, NonHermitianInput
 from .qudit_mub import MubBasisSet
 
@@ -75,9 +76,7 @@ class ProbabilityTable:
                 f"probability rows deviate from unit sum by up to {worst:.3g}",
                 stacklevel=3,
             )
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        freeze_fields(self, values=vals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,9 +97,7 @@ class CountTable:
             raise InvariantViolation("counts must be nonnegative integers")
         if np.any(counts.sum(axis=1) != self.shots_per_basis):
             raise InvariantViolation("each row must sum to shots_per_basis")
-        counts = counts.copy()
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
+        freeze_fields(self, counts=counts)
 
 
 def measure_probabilities(rho: np.ndarray, mub_set: MubBasisSet) -> ProbabilityTable:
@@ -124,6 +121,10 @@ def sample_counts(table: ProbabilityTable, shots: int, seed: int) -> CountTable:
     outcome t is ``searchsorted(c, u_t, side="right")`` where c is the
     row's cumulative distribution rescaled so c[d-1] = 1. Identical
     (table, shots, seed) always reproduce the same counts.
+
+    The counts are computed from each row's sorted stream, cut at c[:-1]
+    with ``side="left"`` (a draw equal to c[k] is outcome k + 1), which
+    gives the same counts as the per-draw search.
     """
     if shots < 0:
         raise ValueError("shots must be nonnegative")
@@ -136,10 +137,10 @@ def sample_counts(table: ProbabilityTable, shots: int, seed: int) -> CountTable:
             key = (seed & ((1 << 64) - 1)) + (r << 64)
             gen = np.random.Generator(np.random.Philox(key=key))
             cum = np.cumsum(table.values[r])
-            cum /= cum[-1]
-            u = gen.random(shots)
-            idx = np.searchsorted(cum, u, side="right")
-            counts[r] = np.bincount(np.clip(idx, 0, d - 1), minlength=d)
+            # probabilities down to -1e-12 may dip c; keep counts nonnegative
+            cum = np.maximum.accumulate(cum / cum[-1])
+            below = np.searchsorted(np.sort(gen.random(shots)), cum[:-1], side="left")
+            counts[r] = np.diff(below, prepend=0, append=shots)
     return CountTable(dim=d, shots_per_basis=shots, counts=counts)
 
 

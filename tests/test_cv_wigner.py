@@ -26,6 +26,7 @@ from mubtomo.errors import (
     DegenerateAngle,
     InsufficientAngles,
     InvariantViolation,
+    MassOutsideAxis,
     MomentumOutsideGrid,
     NonHermitianInput,
 )
@@ -297,6 +298,33 @@ def test_momentum_just_inside_grid_passes():
     rho = density_from_wavefunction(ground_state(X8) * np.exp(4.5j * X8), -8.0, 8.0)
     sino = quadrature_sinogram(rho, np.arange(12) * np.pi / 12)
     assert np.max(np.abs(sino.values.sum(axis=1) * sino.ds - 1.0)) <= 1e-6
+
+
+def test_theta_zero_off_the_x_lattice():
+    """Off the x lattice the theta = 0 row comes from the momentum side and
+    carries the same unit mass as the pi/2 row, where interpolating the
+    diagonal lost 1.7e-4."""
+    x = np.linspace(-5.6, 5.6, 33)
+    rho = density_from_wavefunction(ground_state(x), -5.6, 5.6)
+    s = np.linspace(-5.0, 5.0, 48)
+    sino = quadrature_sinogram(rho, [0.0, np.pi / 2], s)
+    assert np.max(np.abs(sino.values.sum(axis=1) * sino.ds - 1.0)) <= 1e-6
+    assert np.max(np.abs(sino.values - np.exp(-s * s) / np.sqrt(np.pi))) <= 1e-7
+
+
+@pytest.mark.parametrize("thetas", [[np.pi / 2], [np.pi / 3, np.pi / 2, 2 * np.pi / 3]])
+def test_momentum_off_the_s_axis_is_named(thetas):
+    """Position-branch rows of a state boosted by e^{6ix} lose the momentum
+    mass past the s axis edge 8 + ds/2; the error names it and the axis."""
+    rho = density_from_wavefunction(ground_state(X8) * np.exp(6j * X8), -8.0, 8.0)
+    with pytest.raises(MassOutsideAxis) as info:
+        quadrature_sinogram(rho, thetas)
+    lost = 0.5 * math.erfc(8.0 + (X8[1] - X8[0]) / 2 - 6.0)
+    got = float(re.search(r"misses (\S+) of the trace", str(info.value)).group(1))
+    assert abs(got - lost) <= 0.03 * lost
+    assert "s in [-8, 8]" in str(info.value)
+    with pytest.raises(MassOutsideAxis):
+        quadrature_distribution(rho, np.pi / 2)
 
 
 # ---------------------------------------------------------- reconstruction

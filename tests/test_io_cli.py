@@ -269,6 +269,19 @@ def test_cli_quads_names_momentum_outside_grid(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("MomentumOutsideGrid:")
 
 
+def test_cli_quads_names_mass_off_the_axis(tmp_path, capsys):
+    # two angles, 0 and pi/2, stay on the position side, so the lost
+    # momentum mass shows as a row that misses part of the trace
+    x = np.linspace(-8, 8, 256)
+    pfile = tmp_path / "psi.json"
+    iof.write_wavefunction(pfile, ground_state(x) * np.exp(6j * x), -8, 8)
+    code = main(["quads", "--state", str(pfile), "--angles", "2",
+                 "--out", str(tmp_path / "q.json")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith("MassOutsideAxis:")
+
+
 def test_cli_usage_errors(tmp_path, capsys):
     assert main(["bogus"]) == 2
     assert main(["simulate", "--dim", "3", "--state", str(tmp_path / "absent.json"),

@@ -5,6 +5,7 @@ from mubtomo.errors import IndexOutOfRange, InvariantViolation
 from mubtomo.finite_field import PrimeModulus
 from mubtomo.qudit_mub import (
     MubBasisSet,
+    basis_matrix,
     build_mub_set,
     clock_operator,
     mub_deviation,
@@ -87,6 +88,16 @@ def test_mub_vector_range_check():
         mub_vector(PrimeModulus(3), 3, 0)
     with pytest.raises(IndexOutOfRange):
         mub_vector(PrimeModulus(3), 0, -1)
+
+
+@pytest.mark.parametrize("d", [3, 7, 31, 101])
+def test_basis_matrix_stacks_mub_vectors(d):
+    p = PrimeModulus(d)
+    for b in range(d):
+        columns = np.stack([mub_vector(p, b, c) for c in range(d)], axis=1)
+        assert np.array_equal(basis_matrix(p, b).view(float), columns.view(float))
+    with pytest.raises(IndexOutOfRange):
+        basis_matrix(p, d)
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubtomo.errors import DimensionMismatch, InvariantViolation, NonHermitianInput
 from mubtomo.finite_field import PrimeModulus
@@ -87,6 +91,88 @@ def test_sample_counts_deterministic_and_frozen():
     assert np.array_equal(a.counts, b.counts)
     # regression pin for the documented Philox / inverse-CDF stream
     assert a.counts.tolist() == [[3, 3, 4], [2, 4, 4], [2, 3, 5], [6, 2, 2]]
+
+
+def _philox_uniforms(seed, r, shots):
+    key = (seed & ((1 << 64) - 1)) + (r << 64)
+    return np.random.Generator(np.random.Philox(key=key)).random(shots)
+
+
+def per_draw_counts(values, shots, seed):
+    """Oracle: the documented contract drawn outcome by outcome,
+    bincount(clip(searchsorted(c, u, "right"), 0, d - 1)) for every row."""
+    d = values.shape[1]
+    counts = np.zeros((d + 1, d), dtype=np.int64)
+    if shots > 0:
+        for r in range(d + 1):
+            cum = np.cumsum(values[r])
+            cum /= cum[-1]
+            idx = np.searchsorted(cum, _philox_uniforms(seed, r, shots), side="right")
+            counts[r] = np.bincount(np.clip(idx, 0, d - 1), minlength=d)
+    return counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
+    shots=st.integers(0, 2000),
+    seed=st.integers(0, 2**70),
+    table_seed=st.integers(0, 2**32 - 1),
+    zero_share=st.sampled_from([0.0, 0.3, 0.8]),
+)
+def test_sample_counts_match_per_draw_oracle(d, shots, seed, table_seed, zero_share):
+    rng = np.random.default_rng(table_seed)
+    vals = rng.dirichlet(np.ones(d), size=d + 1)
+    vals[rng.random(vals.shape) < zero_share] = 0.0
+    vals[np.arange(d + 1), rng.integers(0, d, d + 1)] += 1e-3  # no empty row
+    vals /= vals.sum(axis=1, keepdims=True)
+    counts = sample_counts(ProbabilityTable(dim=d, values=vals), shots, seed)
+    assert np.array_equal(counts.counts, per_draw_counts(vals, shots, seed))
+
+
+def test_sample_counts_zero_probability_outcomes():
+    # zeros repeat cumulative edges, inside the row and at both ends
+    vals = np.array([
+        [0.0, 0.0, 0.5, 0.0, 0.5],
+        [0.2, 0.0, 0.0, 0.8, 0.0],
+        [0.0, 1.0, 0.0, 0.0, 0.0],
+        [0.1, 0.2, 0.0, 0.3, 0.4],
+        [0.0, 0.0, 0.0, 0.0, 1.0],
+        [0.5, 0.0, 0.0, 0.0, 0.5],
+    ])
+    for seed in (0, 7, 2**70 + 3):
+        counts = sample_counts(ProbabilityTable(dim=5, values=vals), 5000, seed).counts
+        assert np.array_equal(counts, per_draw_counts(vals, 5000, seed))
+        assert np.all(counts[vals == 0.0] == 0)
+
+
+def test_sample_counts_draw_on_an_edge_goes_above_it():
+    """A draw equal to the edge c[0] is outcome 1 (right-open intervals)."""
+    seed, shots = 11, 50
+    u3 = _philox_uniforms(seed, 0, shots)[3]
+    vals = np.full((4, 3), 1 / 3)
+    vals[0] = [u3, 1.0 - u3, 0.0]
+    cum = np.cumsum(vals[0])
+    assert (cum / cum[-1])[0] == u3  # the tie really happens
+    counts = sample_counts(ProbabilityTable(dim=3, values=vals), shots, seed).counts
+    assert np.array_equal(counts, per_draw_counts(vals, shots, seed))
+
+
+def test_sample_counts_tiny_negative_probability():
+    """A probability of -1e-13 dips the cumulative edges; a draw inside the
+    dip is counted below it, and no count goes negative."""
+    seed, shots = 11, 50
+    u = _philox_uniforms(seed, 0, shots)
+    eps = 1e-13
+    vals = np.full((4, 3), 1 / 3)
+    vals[0] = [u[3] + eps / 2, -eps, 1.0 - u[3] + eps / 2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = ProbabilityTable(dim=3, values=vals)
+    counts = sample_counts(table, shots, seed).counts
+    cum = np.cumsum(vals[0])
+    below = int(np.sum(u < cum[0] / cum[-1]))
+    assert counts[0].tolist() == [below, 0, shots - below]
 
 
 def test_sample_counts_seed_changes_stream():
