@@ -281,8 +281,8 @@ def _ramp_kernel_response(n_pad: int, ds: float, window: str | None) -> np.ndarr
 
 def inverse_radon(
     sinogram: Sinogram,
-    nx: int,
-    n_p: int,
+    nx: int | None = None,
+    n_p: int | None = None,
     x_min: float | None = None,
     x_max: float | None = None,
     p_min: float | None = None,
@@ -291,13 +291,17 @@ def inverse_radon(
 ) -> PhaseSpaceGrid:
     """Filtered back-projection of a sinogram onto an nx x n_p grid.
 
-    Angles must be uniformly spaced and span a half turn,
-    ``n_theta * dtheta = pi``; other angle sets raise
+    Both sizes default to n_s. Angles must be uniformly spaced and span a
+    half turn, ``n_theta * dtheta = pi``; other angle sets raise
     ``InsufficientAngles``. Default extents are the square inscribed in
     the projection circle, |x|, |p| <= s_max / sqrt(2); pass the original
     grid extents to compare round trips. ``window``
     ("hann") apodizes the ramp for noisy rows; the default is the plain
     band-limited ramp.
+
+    Of quadrature distributions this is the Wigner function
+    (``cv_wigner.reconstruct_wigner``). Negative values are genuine and
+    are not clamped.
     """
     if sinogram.n_theta < 2:
         raise InsufficientAngles(f"{sinogram.n_theta} angle(s); need at least 2")
@@ -316,6 +320,8 @@ def inverse_radon(
     p_max = half if p_max is None else p_max
 
     n_s = sinogram.n_s
+    nx = n_s if nx is None else nx
+    n_p = n_s if n_p is None else n_p
     ds = sinogram.ds
     n_pad = 1 << int(np.ceil(np.log2(2 * n_s)))
     H = _ramp_kernel_response(n_pad, ds, window)

