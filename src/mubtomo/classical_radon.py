@@ -22,10 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._frozen import freeze_fields
-from .errors import (EmptyGrid, IndexOutOfRange, InsufficientAngles, InvariantViolation,
-                     MassOutsideAxis)
-
-_ROW_MASS_TOL = 1e-6
+from .errors import (FOOTPRINT_FLOOR, MASS_TOL, SPACING_TOL, EmptyGrid, IndexOutOfRange,
+                     InsufficientAngles, InvariantViolation, MassOutsideAxis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +107,7 @@ class Sinogram:
             raise InvariantViolation("s extents must be ordered")
         masses = vals.sum(axis=1) * (self.s_max - self.s_min) / (vals.shape[1] - 1)
         mean = float(np.mean(masses))
-        if np.max(np.abs(masses - mean)) > _ROW_MASS_TOL * max(1.0, abs(mean)):
+        if np.max(np.abs(masses - mean)) > MASS_TOL * max(1.0, abs(mean)):
             raise InvariantViolation("projection rows carry inconsistent total mass")
         freeze_fields(self, values=vals, thetas=thetas)
 
@@ -165,7 +163,7 @@ def _project_rows(grid: PhaseSpaceGrid, thetas, n_s: int, s_max: float) -> np.nd
     for it, th in enumerate(thetas):
         c, s = np.cos(th), np.sin(th)
         wx, wp = abs(c) * grid.dx, abs(s) * grid.dp
-        a, b = max(wx, wp), max(min(wx, wp), 1e-12 * ds)
+        a, b = max(wx, wp), max(min(wx, wp), FOOTPRINT_FLOOR * ds)
         half = (a + b) / 2
         n_bins = int(np.ceil((a + b) / ds)) + 1
         # left end of each footprint, in bins from the left edge of bin 0
@@ -183,7 +181,7 @@ def _project_rows(grid: PhaseSpaceGrid, thetas, n_s: int, s_max: float) -> np.nd
         out[it] = row[n_bins : n_bins + n_s]
     total = grid.mass()
     lost = float(np.max(np.abs(total - out.sum(axis=1))))
-    if lost > _ROW_MASS_TOL * max(1.0, abs(total)):
+    if lost > MASS_TOL * max(1.0, abs(total)):
         raise MassOutsideAxis(
             f"projection rows miss {lost:.3g} of the grid mass {total:.6g} outside "
             f"|s| <= {s_max:.6g}; the default s_max {_circumscribing_radius(grid):.6g} "
@@ -230,8 +228,8 @@ def radon_forward(grid: PhaseSpaceGrid, thetas, n_s: int,
     if thetas.ndim != 1 or thetas.size == 0:
         raise InvariantViolation("thetas must be a nonempty 1D sequence")
     if np.any(thetas < 0.0) or np.any(thetas >= np.pi):
-        raise ValueError("radon_forward angles must lie in [0, pi); "
-                         "use project_at_angle for the reflected half plane")
+        raise InvariantViolation("radon_forward angles must lie in [0, pi); "
+                                 "use project_at_angle for the reflected half plane")
     if s_max is None:
         s_max = _circumscribing_radius(grid)
     rows = _project_rows(grid, thetas, n_s, s_max)
@@ -276,7 +274,7 @@ def _ramp_kernel_response(n_pad: int, ds: float, window: str | None) -> np.ndarr
     if window == "hann":
         f = np.fft.fftfreq(n_pad, d=ds)
         return H * 0.5 * (1.0 + np.cos(np.pi * f / np.abs(f).max()))
-    raise ValueError(f"unknown filter window {window!r}")
+    raise InvariantViolation(f"unknown filter window {window!r}")
 
 
 def inverse_radon(
@@ -306,10 +304,10 @@ def inverse_radon(
     if sinogram.n_theta < 2:
         raise InsufficientAngles(f"{sinogram.n_theta} angle(s); need at least 2")
     dth = np.diff(sinogram.thetas)
-    if np.any(dth <= 0) or np.max(np.abs(dth - dth[0])) > 1e-9 * dth[0]:
+    if np.any(dth <= 0) or np.max(np.abs(dth - dth[0])) > SPACING_TOL * dth[0]:
         raise InsufficientAngles("inverse_radon requires uniformly spaced increasing angles")
     delta = float(dth[0])
-    if abs(sinogram.n_theta * delta - np.pi) > 1e-9 * np.pi:
+    if abs(sinogram.n_theta * delta - np.pi) > SPACING_TOL * np.pi:
         raise InsufficientAngles(f"{sinogram.n_theta} angles spaced {delta:.6g} rad "
                                  "do not span the half turn [0, pi)")
 

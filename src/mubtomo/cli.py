@@ -33,7 +33,7 @@ from .cv_wigner import (
     reconstruct_density_continuous,
     wigner_from_density,
 )
-from .errors import MubTomoError, UsageError
+from .errors import SPACING_TOL, MubTomoError, UsageError
 from .finite_field import assert_odd_prime
 from .qudit_mub import build_mub_set
 from .qudit_tomography import (
@@ -73,8 +73,8 @@ def _load_cv_state(path, n=None, xmax=None):
         return density_from_wavefunction(psi, x_min, x_max)
     if kind == "density":
         rho = iof.read_position_density(path)
-        if n is not None and (rho.n != n or abs(rho.x_max - xmax) > 1e-9
-                              or abs(rho.x_min + xmax) > 1e-9):
+        if n is not None and (rho.n != n or abs(rho.x_max - xmax) > SPACING_TOL
+                              or abs(rho.x_min + xmax) > SPACING_TOL):
             raise UsageError(
                 f"density file axis ({rho.n} points on [{rho.x_min}, {rho.x_max}]) "
                 f"does not match --grid {n} --xmax {xmax}; resampling is only "
@@ -90,6 +90,9 @@ def _cmd_mub(args):
 
 
 def _cmd_simulate(args):
+    for flag, value in (("--shots", args.shots), ("--seed", args.seed)):
+        if value is not None and value < 0:
+            raise UsageError(f"{flag} must be nonnegative, got {value}")
     rho = iof.read_qudit_density(args.state)
     if rho.shape[0] != args.dim:
         raise UsageError(f"--dim {args.dim} but state file has dim {rho.shape[0]}")

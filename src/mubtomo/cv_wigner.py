@@ -46,6 +46,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._frozen import freeze_fields
 from .classical_radon import PhaseSpaceGrid, Sinogram, inverse_radon
 from .errors import (
+    CV_HERMITIAN_TOL,
+    CV_TRACE_TOL,
+    IMAG_RESIDUE_TOL,
+    MASS_TOL,
+    ROUNDING_TOL,
+    SIN_EPS,
+    SPACING_TOL,
     AliasedGrid,
     DegenerateAngle,
     InvariantViolation,
@@ -54,14 +61,6 @@ from .errors import (
     NonHermitianInput,
 )
 
-_HERMITIAN_TOL = 1e-10
-_TRACE_TOL = 1e-6
-_IMAG_RESIDUE_TOL = 1e-8
-_SIN_EPS = 1e-9
-# Mass that the momentum representation or a row may lose against the position
-# trace; Sinogram holds all rows to one mass within the same 1e-6, so a larger
-# loss would surface there as a generic mismatch.
-_MASS_TOL = 1e-6
 # Angles per batched chirp-z: small enough that the per-chunk buffers stay
 # far below the density matrix itself.
 _CHIRP_Z_CHUNK = 16
@@ -83,14 +82,14 @@ class PositionDensityMatrix:
             raise InvariantViolation("x extents must be ordered")
         if not np.all(np.isfinite(vals)):
             raise InvariantViolation("density samples contain non-finite values")
-        if np.max(np.abs(vals - vals.conj().T)) > _HERMITIAN_TOL:
+        if np.max(np.abs(vals - vals.conj().T)) > CV_HERMITIAN_TOL:
             raise NonHermitianInput(
                 f"<x|rho|x'> must be Hermitian under conjugate transposition "
-                f"within {_HERMITIAN_TOL}"
+                f"within {CV_HERMITIAN_TOL}"
             )
         dx = (self.x_max - self.x_min) / (vals.shape[0] - 1)
         trace = float(np.sum(np.real(np.diagonal(vals))) * dx)
-        if abs(trace - 1.0) > _TRACE_TOL:
+        if abs(trace - 1.0) > CV_TRACE_TOL:
             raise InvariantViolation(f"trace integral is {trace:.8f}, expected 1")
         freeze_fields(self, values=vals)
 
@@ -159,7 +158,7 @@ def wigner_from_density(
     if p_max is None:
         p_max = max(abs(rho.x_min), abs(rho.x_max))
     nyquist = np.pi / (2 * dx)
-    if p_max > nyquist * (1 + 1e-12):
+    if p_max > nyquist * (1 + ROUNDING_TOL):
         raise AliasedGrid(
             f"|p| up to {p_max:.4g} exceeds the Nyquist bound {nyquist:.4g} "
             f"for dx = {dx:.4g}"
@@ -175,7 +174,7 @@ def wigner_from_density(
     W = (dx / np.pi) * phase * (H @ E)
 
     residue = float(np.max(np.abs(W.imag)))
-    if residue > _IMAG_RESIDUE_TOL:
+    if residue > IMAG_RESIDUE_TOL:
         raise InvariantViolation(
             f"Wigner transform left imaginary residue {residue:.3g}"
         )
@@ -193,7 +192,7 @@ def quadrature_kernel(x_prime, x, theta: float) -> np.ndarray:
     """
     C = np.cos(theta)
     S = np.sin(theta)
-    if abs(S) < _SIN_EPS:
+    if abs(S) < SIN_EPS:
         raise DegenerateAngle(f"kernel undefined at theta = {theta} (sin ~ 0)")
     x_prime = np.asarray(x_prime, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -222,7 +221,7 @@ def kernel_overlap(
     rate = 0.0
     for ang, lab in ((theta, x), (theta_prime, x_prime)):
         S = np.sin(ang)
-        if abs(S) < _SIN_EPS:
+        if abs(S) < SIN_EPS:
             raise DegenerateAngle(f"kernel undefined at theta = {ang}")
         rate += (abs(lab) + L * abs(np.cos(ang))) / abs(S)
     dg = np.pi / (oversample * rate)
@@ -238,7 +237,7 @@ def _momentum_representation(rho: PositionDensityMatrix) -> np.ndarray:
 
     Valid while the state's momentum support fits inside the position
     extents. Mass beyond them is missing from the diagonal of the result;
-    a shortfall against the position trace above _MASS_TOL
+    a shortfall against the position trace above MASS_TOL
     raises MomentumOutsideGrid, naming the |x| extent that would hold it.
     """
     x = rho.x
@@ -246,7 +245,7 @@ def _momentum_representation(rho: PositionDensityMatrix) -> np.ndarray:
     rho_p = F @ rho.values @ F.conj().T
     trace_x = np.sum(np.real(np.diagonal(rho.values))) * rho.dx
     lost = float(trace_x - np.sum(np.real(np.diagonal(rho_p))) * rho.dx)
-    if lost > _MASS_TOL:
+    if lost > MASS_TOL:
         raise MomentumOutsideGrid(
             f"momentum mass {lost:.3g} lies outside the mirrored grid "
             f"p in [{rho.x_min:.4g}, {rho.x_max:.4g}]; the x grid must reach "
@@ -256,7 +255,7 @@ def _momentum_representation(rho: PositionDensityMatrix) -> np.ndarray:
 
 
 def _momentum_reach(rho: PositionDensityMatrix) -> float:
-    """Smallest P leaving at most _MASS_TOL of momentum mass at |p| > P.
+    """Smallest P leaving at most MASS_TOL of momentum mass at |p| > P.
 
     The theta = pi/2 row of the position representation is the momentum
     density; over one period [-pi/dx, pi/dx] it holds all of it.
@@ -265,12 +264,12 @@ def _momentum_reach(rho: PositionDensityMatrix) -> float:
     density = _chirp_z_rows(_skew(rho.values), rho.x, np.array([np.pi / 2]), p)[0]
     order = np.argsort(-np.abs(p), kind="stable")
     beyond = np.cumsum(density[order]) * (p[1] - p[0])  # mass at |p| >= |p[order[i]]|
-    return float(np.abs(p[order[np.count_nonzero(beyond <= _MASS_TOL)]]))
+    return float(np.abs(p[order[np.count_nonzero(beyond <= MASS_TOL)]]))
 
 
 def _check_alias(dx: float, s_eff: float, axis_max: float):
     limit = np.pi * abs(s_eff) / axis_max
-    if dx > limit * (1 + 1e-12):
+    if dx > limit * (1 + ROUNDING_TOL):
         raise AliasedGrid(
             f"dx = {dx:.4g} exceeds pi |sin| / x_max = {limit:.4g}; "
             f"refine the x grid to resolve the kernel phase"
@@ -332,11 +331,12 @@ def _quadrature_rows(
     """Rows <s,theta| rho |s,theta> for every angle, and the checked s axis."""
     bad = (thetas < 0) | (thetas >= np.pi)
     if np.any(bad):
-        raise ValueError(f"theta = {thetas[bad][0]} outside [0, pi)")
+        raise InvariantViolation(f"theta = {thetas[bad][0]} outside [0, pi)")
     x = rho.x
     s = x if s is None else np.asarray(s, dtype=float)
     steps = np.diff(s)
-    if s.size < 2 or np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
+    if (s.size < 2 or np.any(steps <= 0)
+            or np.max(np.abs(steps - steps[0])) > SPACING_TOL * steps[0]):
         raise InvariantViolation("s axis must be uniformly increasing")
 
     # Each angle is evaluated in whichever of the position / momentum
@@ -346,7 +346,7 @@ def _quadrature_rows(
     # the momentum representation (|sin| = 1) gives it.
     axis_max = max(abs(rho.x_min), abs(rho.x_max))
     cells = (s - rho.x_min) / rho.dx
-    exact = (thetas < _SIN_EPS) & (np.max(np.abs(cells - np.rint(cells))) <= 1e-9)
+    exact = (thetas < SIN_EPS) & (np.max(np.abs(cells - np.rint(cells))) <= SPACING_TOL)
     position = np.abs(np.sin(thetas)) >= np.abs(np.cos(thetas))
     momentum = ~exact & ~position
     for th in thetas[position]:
@@ -364,7 +364,7 @@ def _quadrature_rows(
     trace = np.sum(np.real(np.diagonal(rho.values))) * rho.dx
     lost = trace - rows.sum(axis=1) * (s[-1] - s[0]) / (s.size - 1)
     worst = int(np.argmax(lost))
-    if lost[worst] > _MASS_TOL:
+    if lost[worst] > MASS_TOL:
         raise MassOutsideAxis(f"the theta = {thetas[worst]:.6g} row misses {lost[worst]:.3g} of "
                               f"the trace {trace:.6g} outside s in [{s[0]:.4g}, {s[-1]:.4g}]")
     return rows, s

@@ -1,9 +1,47 @@
-"""Exception vocabulary shared by all modules.
+"""Tolerance table and exception vocabulary shared by all modules.
 
-Every class doubles as a machine-readable error code: the CLI prints the
-class name on stderr and exits with ``exit_code`` (2 bad invocation or
-unreadable file, 3 violated domain invariant, 4 numeric failure).
+Every "close enough" in the package is one of the constants below, defined
+once with its reason; the checking modules import them from here and hold
+no tolerance literal of their own.
+
+Every error the library raises is a ``MubTomoError``. Each class doubles as
+a machine-readable error code: the CLI prints the class name on stderr and
+exits with ``exit_code`` (2 bad invocation or unreadable file, 3 violated
+domain invariant, 4 numeric failure). ``InvariantViolation`` and
+``InsufficientAngles`` reject an argument's value, so they are also
+``ValueError``s.
 """
+
+# Float rounding of a quantity that is exact in real arithmetic: qudit basis
+# unitarity, density Hermiticity and unit trace, probabilities in [0, 1], and
+# the relative slack that lets a grid sized exactly at the Nyquist or kernel
+# alias limit pass.
+ROUNDING_TOL = 1e-12
+# Narrowest cell footprint of the forward Radon projector, in units of ds;
+# keeps the footprint CDF finite at theta = 0 and pi/2, where one side is 0.
+FOOTPRINT_FLOOR = 1e-12
+# Most negative eigenvalue a qudit density matrix may have.
+EIGENVALUE_FLOOR = -1e-10
+# Unit-sum deviation of a probability row above which ProbabilityTable warns;
+# finite-shot frequency tables pass with the warning.
+ROW_SUM_TOL = 1e-10
+# Mass a projection row may differ from its siblings by (Sinogram), or lose
+# against the grid mass (Radon rows) or the position trace (quadrature rows,
+# the momentum representation). One value, so a loss the producers let
+# through cannot resurface in Sinogram as a generic mismatch.
+MASS_TOL = 1e-6
+# Mismatch, relative to the step, of axes that must agree: uniformly spaced
+# angles spanning the half turn, a uniform s axis, s on the x lattice; and,
+# absolute, a density file's x extents against --xmax.
+SPACING_TOL = 1e-9
+# Hermiticity of sampled <x|rho|x'>, which carries reconstruction rounding.
+CV_HERMITIAN_TOL = 1e-10
+# Distance of the rectangle-rule trace of <x|rho|x'> from 1.
+CV_TRACE_TOL = 1e-6
+# Imaginary part the Wigner transform may leave before it is discarded.
+IMAG_RESIDUE_TOL = 1e-8
+# |sin(theta)| below which the quadrature kernel is degenerate.
+SIN_EPS = 1e-9
 
 
 class MubTomoError(Exception):
@@ -44,7 +82,7 @@ class DimensionMismatch(MubTomoError):
     """Operands describe different Hilbert-space or grid dimensions."""
 
 
-class InvariantViolation(MubTomoError):
+class InvariantViolation(MubTomoError, ValueError):
     """A domain type received data breaking one of its invariants."""
 
 

@@ -45,34 +45,40 @@ def _parse(path) -> dict:
     return doc
 
 
-def _load(path, kind: str, *keys) -> list:
-    """Values of the header ``keys``, then ``data``, of a ``kind`` document."""
+def _load(path, kind: str, **types) -> list:
+    """Values of the header keys, each converted by ``_array`` to its type in
+    ``types`` (int, float, or None to keep it as parsed), then ``data``, of a
+    ``kind`` document."""
     doc = _parse(path)
     if doc.get("format") != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported format {doc.get('format')!r}")
     if doc.get("kind") != kind:
         raise FormatError(f"{path}: kind is {doc.get('kind')!r}, expected {kind!r}")
-    for key in (*keys, "data"):
+    for key in (*types, "data"):
         if key not in doc:
             raise FormatError(f"{path}: missing required key {key!r}")
-    return [doc[key] for key in (*keys, "data")]
+    return [doc[key] if typ is None else _array(doc[key], path, (), typ, repr(key)).item()
+            for key, typ in types.items()] + [doc["data"]]
 
 
-def _array(data, path, shape: tuple | None = None, dtype=float) -> np.ndarray:
+def _array(data, path, shape: tuple | None = None, dtype=float, name="data") -> np.ndarray:
     """``data`` as a real, complex ([re, im] pairs) or integer array, checked
-    against ``shape`` when one is given. Integers must be whole numbers."""
+    against ``shape`` when one is given. Integers must be whole numbers
+    within int64. ``name`` says what ``data`` is in the error messages."""
     try:
         arr = np.asarray(data, dtype=np.int64 if dtype is int else float)
-        if dtype is int and not np.array_equal(arr, np.asarray(data, dtype=float)):
-            raise FormatError(f"{path}: counts must be whole numbers")
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: data must be nested numeric arrays") from exc
+        exact = dtype is not int or np.array_equal(arr, np.asarray(data, dtype=float))
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        noun = "whole numbers within int64" if dtype is int else "numeric"
+        raise FormatError(f"{path}: {name} must be {noun}, got {data!r:.40}")
     if dtype is complex:
         if arr.ndim < 1 or arr.shape[-1] != 2:
             raise FormatError(f"{path}: complex entries must be [re, im] pairs")
         arr = arr[..., 0] + 1j * arr[..., 1]
     if shape is not None and arr.shape != shape:
-        raise FormatError(f"{path}: data shape {arr.shape} does not match the header {shape}")
+        raise FormatError(f"{path}: {name} shape {arr.shape} does not match {shape}")
     return arr
 
 
@@ -100,8 +106,8 @@ def write_qudit_density(path, rho: np.ndarray):
 
 
 def read_qudit_density(path) -> np.ndarray:
-    dim, data = _load(path, "density", "dim")
-    return validate_density_matrix(_array(data, path, (int(dim),) * 2, complex))
+    dim, data = _load(path, "density", dim=int)
+    return validate_density_matrix(_array(data, path, (dim,) * 2, complex))
 
 
 def write_position_density(path, rho: PositionDensityMatrix, **extra):
@@ -110,9 +116,9 @@ def write_position_density(path, rho: PositionDensityMatrix, **extra):
 
 
 def read_position_density(path) -> PositionDensityMatrix:
-    n, x_min, x_max, data = _load(path, "density", "n", "x_min", "x_max")
-    return PositionDensityMatrix(values=_array(data, path, (int(n),) * 2, complex),
-                                 x_min=float(x_min), x_max=float(x_max))
+    n, x_min, x_max, data = _load(path, "density", n=int, x_min=float, x_max=float)
+    return PositionDensityMatrix(values=_array(data, path, (n,) * 2, complex),
+                                 x_min=x_min, x_max=x_max)
 
 
 def write_wavefunction(path, psi: np.ndarray, x_min: float, x_max: float):
@@ -123,8 +129,8 @@ def write_wavefunction(path, psi: np.ndarray, x_min: float, x_max: float):
 
 def read_wavefunction(path):
     """Returns (psi, x_min, x_max); density formation is the caller's call."""
-    n, x_min, x_max, data = _load(path, "wavefunction", "n", "x_min", "x_max")
-    return _array(data, path, (int(n),), complex), float(x_min), float(x_max)
+    n, x_min, x_max, data = _load(path, "wavefunction", n=int, x_min=float, x_max=float)
+    return _array(data, path, (n,), complex), x_min, x_max
 
 
 # ----------------------------------------------------------------- unitaries
@@ -136,10 +142,10 @@ def write_mub_set(path, mub_set: MubBasisSet):
 
 
 def read_mub_set(path) -> MubBasisSet:
-    dim, count, data = _load(path, "unitary", "dim", "count")
-    if not isinstance(data, list) or len(data) != int(count):
+    dim, count, data = _load(path, "unitary", dim=int, count=int)
+    if not isinstance(data, list) or len(data) != count:
         raise FormatError(f"{path}: data must list 'count' matrices")
-    return MubBasisSet(dim=int(dim), bases=tuple(_array(m, path, dtype=complex) for m in data))
+    return MubBasisSet(dim=dim, bases=tuple(_array(m, path, dtype=complex) for m in data))
 
 
 # -------------------------------------------------------- probability tables
@@ -150,8 +156,8 @@ def write_probability_table(path, table: ProbabilityTable):
 
 
 def read_probability_table(path) -> ProbabilityTable:
-    dim, data = _load(path, "probabilities", "dim")
-    return ProbabilityTable(dim=int(dim), values=_array(data, path))
+    dim, data = _load(path, "probabilities", dim=int)
+    return ProbabilityTable(dim=dim, values=_array(data, path))
 
 
 def write_count_table(path, counts: CountTable, **extra):
@@ -160,8 +166,8 @@ def write_count_table(path, counts: CountTable, **extra):
 
 
 def read_count_table(path) -> CountTable:
-    dim, shots, data = _load(path, "counts", "dim", "shots_per_basis")
-    return CountTable(dim=int(dim), shots_per_basis=int(shots),
+    dim, shots, data = _load(path, "counts", dim=int, shots_per_basis=int)
+    return CountTable(dim=dim, shots_per_basis=shots,
                       counts=_array(data, path, dtype=int))
 
 
@@ -175,10 +181,9 @@ def write_grid(path, grid: PhaseSpaceGrid):
 
 def read_grid(path) -> PhaseSpaceGrid:
     nx, n_p, x_min, x_max, p_min, p_max, data = _load(
-        path, "grid", "nx", "np", "x_min", "x_max", "p_min", "p_max")
-    return PhaseSpaceGrid(values=_array(data, path, (int(nx), int(n_p))),
-                          x_min=float(x_min), x_max=float(x_max),
-                          p_min=float(p_min), p_max=float(p_max))
+        path, "grid", nx=int, np=int, x_min=float, x_max=float, p_min=float, p_max=float)
+    return PhaseSpaceGrid(values=_array(data, path, (nx, n_p)),
+                          x_min=x_min, x_max=x_max, p_min=p_min, p_max=p_max)
 
 
 def write_sinogram(path, sino: Sinogram):
@@ -188,9 +193,9 @@ def write_sinogram(path, sino: Sinogram):
 
 def read_sinogram(path) -> Sinogram:
     n_theta, thetas, n_s, s_min, s_max, data = _load(
-        path, "sinogram", "n_theta", "thetas", "n_s", "s_min", "s_max")
-    return Sinogram(values=_array(data, path, (int(n_theta), int(n_s))),
-                    thetas=_array(thetas, path), s_min=float(s_min), s_max=float(s_max))
+        path, "sinogram", n_theta=int, thetas=None, n_s=int, s_min=float, s_max=float)
+    return Sinogram(values=_array(data, path, (n_theta, n_s)),
+                    thetas=_array(thetas, path), s_min=s_min, s_max=s_max)
 
 
 def write_grid_csv(path, grid: PhaseSpaceGrid):

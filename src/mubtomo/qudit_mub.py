@@ -24,25 +24,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._frozen import freeze_fields
-from .errors import IndexOutOfRange, InvariantViolation
+from .errors import ROUNDING_TOL, IndexOutOfRange, InvariantViolation
 from .finite_field import PrimeModulus
-
-_UNITARY_TOL = 1e-12
 
 
 def clock_operator(modulus: PrimeModulus) -> np.ndarray:
-    """Diagonal matrix diag(1, omega, ..., omega^(d-1))."""
-    d = modulus.d
-    n = np.arange(d)
-    return np.diag(np.exp(2j * np.pi * n / d))
+    """Diagonal matrix diag(1, omega, ..., omega^(d-1)), the Weyl operator Z."""
+    return weyl_operator(modulus, 0, 1)
 
 
 def shift_operator(modulus: PrimeModulus) -> np.ndarray:
-    """Cyclic permutation sending basis column n to row n+1 mod d."""
-    d = modulus.d
-    X = np.zeros((d, d), dtype=complex)
-    X[(np.arange(d) + 1) % d, np.arange(d)] = 1.0
-    return X
+    """Cyclic permutation sending basis column n to row n+1 mod d, the Weyl operator X."""
+    return weyl_operator(modulus, 1, 0)
 
 
 def weyl_operator(modulus: PrimeModulus, m: int, l: int) -> np.ndarray:
@@ -102,8 +95,8 @@ class MubBasisSet:
         for k, U in enumerate(bases):
             if U.shape != (self.dim, self.dim):
                 raise InvariantViolation(f"basis {k} has shape {U.shape}")
-            if np.max(np.abs(U.conj().T @ U - eye)) > _UNITARY_TOL:
-                raise InvariantViolation(f"basis {k} is not unitary within {_UNITARY_TOL}")
+            if np.max(np.abs(U.conj().T @ U - eye)) > ROUNDING_TOL:
+                raise InvariantViolation(f"basis {k} is not unitary within {ROUNDING_TOL}")
         freeze_fields(self, bases=bases)
 
 

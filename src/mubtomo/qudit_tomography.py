@@ -19,13 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._frozen import freeze_fields
-from .errors import DimensionMismatch, InvariantViolation, NonHermitianInput
+from .errors import (EIGENVALUE_FLOOR, ROUNDING_TOL, ROW_SUM_TOL, DimensionMismatch,
+                     InvariantViolation, NonHermitianInput)
 from .qudit_mub import MubBasisSet
-
-HERMITIAN_TOL = 1e-12
-TRACE_TOL = 1e-12
-EIGENVALUE_FLOOR = -1e-10
-_ROW_SUM_TOL = 1e-10
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -33,9 +29,9 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionMismatch(f"density matrix must be square, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITIAN_TOL:
-        raise NonHermitianInput(f"density matrix not Hermitian within {HERMITIAN_TOL}")
-    if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
+    if np.max(np.abs(rho - rho.conj().T)) > ROUNDING_TOL:
+        raise NonHermitianInput(f"density matrix not Hermitian within {ROUNDING_TOL}")
+    if abs(np.trace(rho).real - 1.0) > ROUNDING_TOL or abs(np.trace(rho).imag) > ROUNDING_TOL:
         raise InvariantViolation(f"trace is {np.trace(rho)}, expected 1")
     if np.min(np.linalg.eigvalsh(rho)) < EIGENVALUE_FLOOR:
         raise InvariantViolation("density matrix has a negative eigenvalue")
@@ -67,11 +63,11 @@ class ProbabilityTable:
             raise DimensionMismatch(
                 f"expected shape {(self.dim + 1, self.dim)}, got {vals.shape}"
             )
-        if np.min(vals) < -1e-12 or np.max(vals) > 1 + 1e-12:
+        if np.min(vals) < -ROUNDING_TOL or np.max(vals) > 1 + ROUNDING_TOL:
             raise InvariantViolation("probabilities must lie in [0, 1]")
         # finite-shot frequency tables are allowed through with a warning
         worst = float(np.max(np.abs(vals.sum(axis=1) - 1.0)))
-        if worst > _ROW_SUM_TOL:
+        if worst > ROW_SUM_TOL:
             warnings.warn(
                 f"probability rows deviate from unit sum by up to {worst:.3g}",
                 stacklevel=3,
@@ -127,9 +123,9 @@ def sample_counts(table: ProbabilityTable, shots: int, seed: int) -> CountTable:
     gives the same counts as the per-draw search.
     """
     if shots < 0:
-        raise ValueError("shots must be nonnegative")
+        raise InvariantViolation(f"shots must be nonnegative, got {shots}")
     if seed < 0:
-        raise ValueError("seed must be nonnegative")
+        raise InvariantViolation(f"seed must be nonnegative, got {seed}")
     d = table.dim
     counts = np.zeros((d + 1, d), dtype=np.int64)
     if shots > 0:
@@ -137,7 +133,7 @@ def sample_counts(table: ProbabilityTable, shots: int, seed: int) -> CountTable:
             key = (seed & ((1 << 64) - 1)) + (r << 64)
             gen = np.random.Generator(np.random.Philox(key=key))
             cum = np.cumsum(table.values[r])
-            # probabilities down to -1e-12 may dip c; keep counts nonnegative
+            # probabilities down to -ROUNDING_TOL may dip c; keep counts nonnegative
             cum = np.maximum.accumulate(cum / cum[-1])
             below = np.searchsorted(np.sort(gen.random(shots)), cum[:-1], side="left")
             counts[r] = np.diff(below, prepend=0, append=shots)
@@ -147,7 +143,7 @@ def sample_counts(table: ProbabilityTable, shots: int, seed: int) -> CountTable:
 def frequencies(counts: CountTable) -> ProbabilityTable:
     """Naive maximum-likelihood frequencies count/shots."""
     if counts.shots_per_basis == 0:
-        raise ValueError("cannot form frequencies from zero shots")
+        raise InvariantViolation("cannot form frequencies from zero shots")
     return ProbabilityTable(
         dim=counts.dim, values=counts.counts / counts.shots_per_basis
     )

@@ -245,12 +245,19 @@ def _malformed_cases():
         yield reader, "missing_header_key", {first: None}
         yield reader, "missing_data", {"data": None}
         yield reader, "non-numeric_data", {"data": [["a", "b"], ["c", "d"]]}
+        yield reader, "non-numeric_header", {first: "x"}
+        yield reader, "list_header", {first: [1]}
+        for key, value in header.items():
+            if type(value) is int:
+                yield reader, f"fractional_{key}", {key: value + 0.5}
         if reader in _COMPLEX:
             yield reader, "complex_not_in_pairs", {"data": np.asarray(data)[..., :1].tolist()}
         if reader == "read_mub_set":
             yield reader, "data_shape_differs_from_header", {"count": 3}
         elif kind not in ("probabilities", "counts"):  # see the test after this one
             yield reader, "data_shape_differs_from_header", {first: header[first] + 1}
+    yield "read_count_table", "shots_beyond_int64", {"shots_per_basis": 1e300}
+    yield "read_count_table", "count_beyond_int64", {"data": [[1e300, 2], [1, 4], [5, 0]]}
 
 
 @pytest.mark.parametrize("reader, case, changes", [
@@ -367,6 +374,38 @@ def test_cli_reconstruct_rejects_fractional_counts(tmp_path, capsys):
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("FormatError:")
     assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_reconstruct_rejects_fractional_header(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_document("read_count_table", shots_per_basis=5.5)))
+    code = main(["reconstruct", "--probs", str(path), "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("FormatError:")
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--shots", "-5"], ["--shots", "10", "--seed", "-1"]])
+def test_cli_simulate_rejects_negative_shots_and_seed(tmp_path, capsys, flags):
+    state = tmp_path / "s.json"
+    iof.write_qudit_density(state, np.eye(3, dtype=complex) / 3)
+    code = main(["simulate", "--dim", "3", "--state", str(state), *flags,
+                 "--out", str(tmp_path / "c.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("UsageError:")
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_cli_reconstruct_rejects_zero_shots(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_document("read_count_table", shots_per_basis=0,
+                                         data=[[0, 0], [0, 0], [0, 0]])))
+    code = main(["reconstruct", "--probs", str(path), "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith("InvariantViolation:")
 
 
 def test_cli_radon_iradon_round_trip(tmp_path):
