@@ -105,11 +105,11 @@ class Sinogram:
             raise InvariantViolation("angles must lie in [0, pi)")
         if not self.s_min < self.s_max:
             raise InvariantViolation("s extents must be ordered")
-        masses = vals.sum(axis=1) * (self.s_max - self.s_min) / (vals.shape[1] - 1)
+        freeze_fields(self, values=vals, thetas=thetas)
+        masses = vals.sum(axis=1) * self.ds
         mean = float(np.mean(masses))
         if np.max(np.abs(masses - mean)) > MASS_TOL * max(1.0, abs(mean)):
             raise InvariantViolation("projection rows carry inconsistent total mass")
-        freeze_fields(self, values=vals, thetas=thetas)
 
     @property
     def n_theta(self) -> int:

@@ -50,9 +50,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count(minimum: int):
+    """argparse ``type`` of a count flag: an int of at least ``minimum``. Sizes
+    the library cannot use (0 or 1 samples) stay its domain errors."""
+    def count(text: str) -> int:
+        if int(text) < minimum:
+            raise UsageError(f"must be at least {minimum}, got {text}")
+        return int(text)
+    return count
+
+
 def _uniform_angles(n: int) -> np.ndarray:
-    if n < 1:
-        raise UsageError("--angles must be positive")
     return np.arange(n) * np.pi / n
 
 
@@ -90,9 +98,6 @@ def _cmd_mub(args):
 
 
 def _cmd_simulate(args):
-    for flag, value in (("--shots", args.shots), ("--seed", args.seed)):
-        if value is not None and value < 0:
-            raise UsageError(f"{flag} must be nonnegative, got {value}")
     rho = iof.read_qudit_density(args.state)
     if rho.shape[0] != args.dim:
         raise UsageError(f"--dim {args.dim} but state file has dim {rho.shape[0]}")
@@ -187,9 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="measure a qudit state in every basis")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--state", required=True, help="density JSON file")
-    p.add_argument("--shots", type=int, default=None,
+    p.add_argument("--shots", type=_count(0), default=None,
                    help="finite-shot counts instead of exact probabilities")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
@@ -202,9 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("radon", help="forward Radon transform of a grid")
     p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--angles", type=int, required=True,
+    p.add_argument("--angles", type=_count(1), required=True,
                    help="number of uniform angles on [0, pi)")
-    p.add_argument("--ns", type=int, default=None, help="samples per projection")
+    p.add_argument("--ns", type=_count(0), default=None, help="samples per projection")
     p.add_argument("--smax", type=float, default=None)
     p.add_argument("--csv", default=None, help="also export rows as CSV")
     p.add_argument("--out", required=True)
@@ -212,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("iradon", help="filtered back-projection of a sinogram")
     p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--nx", type=int, default=None)
-    p.add_argument("--np", type=int, default=None)
+    p.add_argument("--nx", type=_count(0), default=None)
+    p.add_argument("--np", type=_count(0), default=None)
     p.add_argument("--xmax", type=float, default=None)
     p.add_argument("--pmax", type=float, default=None)
     p.add_argument("--window", choices=["hann"], default=None,
@@ -224,9 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wigner", help="Wigner function of a continuous state")
     p.add_argument("--state", required=True, help="density or wavefunction JSON")
-    p.add_argument("--grid", type=int, required=True, help="samples per axis")
+    p.add_argument("--grid", type=_count(0), required=True, help="samples per axis")
     p.add_argument("--xmax", type=float, required=True, help="half extent of the axis")
-    p.add_argument("--np", type=int, default=None)
+    p.add_argument("--np", type=_count(0), default=None)
     p.add_argument("--pmax", type=float, default=None)
     p.add_argument("--csv", default=None)
     p.add_argument("--out", required=True)
@@ -234,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quads", help="quadrature distributions of a state")
     p.add_argument("--state", required=True)
-    p.add_argument("--angles", type=int, required=True)
+    p.add_argument("--angles", type=_count(1), required=True)
     p.add_argument("--csv", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_quads)
@@ -242,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct-cv",
                        help="position density matrix from quadratures")
     p.add_argument("--quads", required=True, help="sinogram JSON of quadrature rows")
-    p.add_argument("--nx", type=int, default=None)
+    p.add_argument("--nx", type=_count(0), default=None)
     p.add_argument("--xmax", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_reconstruct_cv)

@@ -9,8 +9,11 @@ a machine-readable error code: the CLI prints the class name on stderr and
 exits with ``exit_code`` (2 bad invocation or unreadable file, 3 violated
 domain invariant, 4 numeric failure). ``InvariantViolation`` and
 ``InsufficientAngles`` reject an argument's value, so they are also
-``ValueError``s.
+``ValueError``s; ``UsageError`` is also an ``argparse.ArgumentTypeError``,
+so argparse names the flag whose value it rejects.
 """
+
+import argparse
 
 # Float rounding of a quantity that is exact in real arithmetic: qudit basis
 # unitarity, density Hermiticity and unit trace, probabilities in [0, 1], and
@@ -50,7 +53,7 @@ class MubTomoError(Exception):
     exit_code = 3
 
 
-class UsageError(MubTomoError):
+class UsageError(MubTomoError, argparse.ArgumentTypeError):
     """Invalid command line invocation."""
 
     exit_code = 2

@@ -1,7 +1,7 @@
 """Arithmetic modulo an odd prime d, including Weyl-exponent bookkeeping.
 
-Pure integer functions; everything here is exact. Matrices live in
-``qudit_mub``, which consumes the exponents computed here.
+Pure integer functions, all exact. ``qudit_mub`` reduces its own exponents;
+``weyl_decompose`` is the operator grouping acceptance criterion C03 checks.
 """
 
 from __future__ import annotations

@@ -137,15 +137,12 @@ def read_wavefunction(path):
 
 
 def write_mub_set(path, mub_set: MubBasisSet):
-    _dump(path, "unitary", [_pairs(U) for U in mub_set.bases],
-          dim=mub_set.dim, count=len(mub_set.bases))
+    _dump(path, "unitary", _pairs(mub_set.bases), dim=mub_set.dim, count=len(mub_set.bases))
 
 
 def read_mub_set(path) -> MubBasisSet:
     dim, count, data = _load(path, "unitary", dim=int, count=int)
-    if not isinstance(data, list) or len(data) != count:
-        raise FormatError(f"{path}: data must list 'count' matrices")
-    return MubBasisSet(dim=dim, bases=tuple(_array(m, path, dtype=complex) for m in data))
+    return MubBasisSet(dim=dim, bases=_array(data, path, (count, dim, dim), complex))
 
 
 # -------------------------------------------------------- probability tables

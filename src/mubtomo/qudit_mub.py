@@ -19,6 +19,7 @@ global phase of each ket and makes serialization reproducible.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,7 @@ def basis_matrix(modulus: PrimeModulus, b: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MubBasisSet:
-    """The full measurement family: computational basis plus the d bases b.
+    """The full measurement family as one read-only complex (d+1, d, d) array.
 
     ``bases[0]`` is the identity (computational basis); ``bases[1 + b]``
     diagonalises X Z^b. Cross-basis overlaps all have modulus 1/sqrt(d);
@@ -83,18 +84,18 @@ class MubBasisSet:
     """
 
     dim: int
-    bases: tuple
+    bases: np.ndarray
 
     def __post_init__(self):
-        if len(self.bases) != self.dim + 1:
-            raise InvariantViolation(
-                f"expected {self.dim + 1} bases for d = {self.dim}, got {len(self.bases)}"
-            )
+        shape = (self.dim + 1, self.dim, self.dim)
+        try:
+            bases = np.asarray(self.bases, dtype=complex)
+        except ValueError as exc:  # ragged input
+            raise InvariantViolation(f"bases do not stack into shape {shape}") from exc
+        if bases.shape != shape:
+            raise InvariantViolation(f"bases have shape {bases.shape}, expected {shape}")
         eye = np.eye(self.dim)
-        bases = tuple(np.asarray(U, dtype=complex) for U in self.bases)
         for k, U in enumerate(bases):
-            if U.shape != (self.dim, self.dim):
-                raise InvariantViolation(f"basis {k} has shape {U.shape}")
             if np.max(np.abs(U.conj().T @ U - eye)) > ROUNDING_TOL:
                 raise InvariantViolation(f"basis {k} is not unitary within {ROUNDING_TOL}")
         freeze_fields(self, bases=bases)
@@ -103,17 +104,17 @@ class MubBasisSet:
 def build_mub_set(modulus: PrimeModulus) -> MubBasisSet:
     """Construct all d+1 bases for the validated odd prime d."""
     d = modulus.d
-    bases = [np.eye(d, dtype=complex)]
-    bases.extend(basis_matrix(modulus, b) for b in range(d))
-    return MubBasisSet(dim=d, bases=tuple(bases))
+    bases = np.empty((d + 1, d, d), dtype=complex)
+    bases[0] = np.eye(d)
+    for b in range(d):
+        bases[1 + b] = basis_matrix(modulus, b)
+    return MubBasisSet(dim=d, bases=bases)
 
 
 def mub_deviation(mub_set: MubBasisSet) -> float:
     """Worst-case | |<u|v>| - 1/sqrt(d) | over all cross-basis ket pairs."""
     target = 1.0 / np.sqrt(mub_set.dim)
     worst = 0.0
-    for a in range(len(mub_set.bases)):
-        for b in range(a + 1, len(mub_set.bases)):
-            overlaps = np.abs(mub_set.bases[a].conj().T @ mub_set.bases[b])
-            worst = max(worst, float(np.max(np.abs(overlaps - target))))
+    for U, V in itertools.combinations(mub_set.bases, 2):
+        worst = max(worst, float(np.max(np.abs(np.abs(U.conj().T @ V) - target))))
     return worst

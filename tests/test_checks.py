@@ -3,6 +3,8 @@
 Every tolerance lives in the table at the top of ``errors.py``, so no other
 module holds a small float literal; and every error the library raises is a
 ``MubTomoError``, so the CLI reports each one on a single stderr line.
+Every count flag of the CLI is parsed with its lower bound, so a negative
+size is a usage error rather than a failure inside numpy.
 """
 
 import ast
@@ -45,4 +47,18 @@ def test_every_raise_is_a_library_error():
             cls = getattr(errors, getattr(exc, "id", getattr(exc, "attr", "")), None)
             if not (isinstance(cls, type) and issubclass(cls, errors.MubTomoError)):
                 hits.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    assert not hits, hits
+
+
+def test_cli_count_flags_are_bounded():
+    """Only ``--dim`` is a bare int: its domain errors (NotPrime,
+    EvenDimension) are the library's to raise."""
+    tree = dict(_trees())["cli.py"]
+    hits = [
+        f"cli.py:{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "add_argument"
+        and any(kw.arg == "type" and ast.unparse(kw.value) == "int" for kw in node.keywords)
+        and ast.literal_eval(node.args[0]) != "--dim"
+    ]
     assert not hits, hits

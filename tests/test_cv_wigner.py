@@ -24,6 +24,7 @@ from mubtomo.cv_wigner import (
 from mubtomo.errors import (
     AliasedGrid,
     DegenerateAngle,
+    EmptyGrid,
     InsufficientAngles,
     InvariantViolation,
     MassOutsideAxis,
@@ -94,6 +95,12 @@ def test_purity_from_wigner(rho0, rho1):
 def test_wigner_nyquist_gate(rho0):
     with pytest.raises(AliasedGrid):
         wigner_from_density(rho0, p_max=30.0)  # beyond pi / (2 dx) ~ 25
+
+
+@pytest.mark.parametrize("n_p", [0, 1])
+def test_wigner_needs_two_momentum_samples(rho0, n_p):
+    with pytest.raises(EmptyGrid):
+        wigner_from_density(rho0, n_p=n_p)
 
 
 # ------------------------------------------------------------------ kernel

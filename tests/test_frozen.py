@@ -17,10 +17,12 @@ def _cases():
     yield lambda a: PositionDensityMatrix(a, -1.125, 1.125), rho, "values"
     yield lambda a: ProbabilityTable(2, a), np.full((3, 2), 0.5), "values"
     yield lambda a: CountTable(2, 4, a), np.full((3, 2), 2), "counts"
+    yield lambda a: MubBasisSet(3, a), np.stack([np.eye(3, dtype=complex)] * 4), "bases"
 
 
 @pytest.mark.parametrize("make, arr, field", list(_cases()),
-                         ids=["grid", "sinogram", "thetas", "density", "probabilities", "counts"])
+                         ids=["grid", "sinogram", "thetas", "density", "probabilities", "counts",
+                              "bases"])
 def test_fields_are_read_only_copies(make, arr, field):
     obj = make(arr)
     stored = getattr(obj, field)
@@ -32,12 +34,3 @@ def test_fields_are_read_only_copies(make, arr, field):
     with pytest.raises(ValueError):
         stored.flat[0] = 0
 
-
-def test_mub_bases_are_read_only_copies():
-    bases = tuple(np.eye(3, dtype=complex) for _ in range(4))
-    ms = MubBasisSet(dim=3, bases=bases)
-    assert isinstance(ms.bases, tuple)
-    assert all(U.flags.writeable is False for U in ms.bases)
-    assert all(U.flags.writeable is True for U in bases)
-    bases[1][0, 0] = 2.0
-    assert ms.bases[1][0, 0] == 1.0

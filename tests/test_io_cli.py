@@ -254,6 +254,7 @@ def _malformed_cases():
             yield reader, "complex_not_in_pairs", {"data": np.asarray(data)[..., :1].tolist()}
         if reader == "read_mub_set":
             yield reader, "data_shape_differs_from_header", {"count": 3}
+            yield reader, "matrix_shape_differs_from_header_dim", {"dim": 2}
         elif kind not in ("probabilities", "counts"):  # see the test after this one
             yield reader, "data_shape_differs_from_header", {first: header[first] + 1}
     yield "read_count_table", "shots_beyond_int64", {"shots_per_basis": 1e300}
@@ -396,6 +397,45 @@ def test_cli_simulate_rejects_negative_shots_and_seed(tmp_path, capsys, flags):
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("UsageError:")
     assert not (tmp_path / "c.json").exists()
+
+
+def _valid_argv(tmp_path, command):
+    """A ``command`` invocation on readable inputs that writes ``out.json``."""
+    state, psi, grid, sino, quads = (tmp_path / f"{n}.json"
+                                     for n in ("state", "psi", "grid", "sino", "quads"))
+    iof.write_qudit_density(state, np.eye(3, dtype=complex) / 3)
+    x = np.linspace(-6, 6, 64)
+    iof.write_wavefunction(psi, ground_state(x).astype(complex), -6, 6)
+    grid_obj = gaussian_mixture_grid(16, 4.0, ISOTROPIC)
+    iof.write_grid(grid, grid_obj)
+    iof.write_sinogram(sino, radon_forward(grid_obj, np.arange(8) * np.pi / 8, 16))
+    assert main(["quads", "--state", str(psi), "--angles", "8", "--out", str(quads)]) == 0
+    inputs = {
+        "simulate": ["--dim", "3", "--state", str(state), "--shots", "10"],
+        "radon": ["--in", str(grid), "--angles", "8"],
+        "iradon": ["--in", str(sino)],
+        "wigner": ["--state", str(psi), "--grid", "64", "--xmax", "6"],
+        "quads": ["--state", str(psi), "--angles", "8"],
+        "reconstruct-cv": ["--quads", str(quads)],
+    }
+    return [command, *inputs[command], "--out", str(tmp_path / "out.json")]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--shots"), ("simulate", "--seed"), ("radon", "--angles"), ("radon", "--ns"),
+    ("iradon", "--nx"), ("iradon", "--np"), ("wigner", "--grid"), ("wigner", "--np"),
+    ("quads", "--angles"), ("reconstruct-cv", "--nx"),
+])
+def test_cli_rejects_negative_count_flags(tmp_path, capsys, command, flag):
+    argv = _valid_argv(tmp_path, command)
+    assert main(argv) == 0  # the inputs are valid without the flag
+    (tmp_path / "out.json").unlink()
+    capsys.readouterr()
+    code = main(argv + [flag, "-1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("UsageError:") and flag in err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_cli_reconstruct_rejects_zero_shots(tmp_path, capsys):

@@ -100,6 +100,15 @@ def test_basis_matrix_stacks_mub_vectors(d):
         basis_matrix(p, d)
 
 
+@pytest.mark.parametrize("d", [3, 7, 31, 101])
+def test_build_mub_set_is_one_array_of_basis_matrices(d):
+    p = PrimeModulus(d)
+    bases = build_mub_set(p).bases
+    stack = np.stack([np.eye(d, dtype=complex)] + [basis_matrix(p, b) for b in range(d)])
+    assert isinstance(bases, np.ndarray) and bases.shape == (d + 1, d, d)
+    assert np.array_equal(bases.view(float), stack.view(float))
+
+
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_build_mub_set_structure(d):
     ms = build_mub_set(PrimeModulus(d))
@@ -155,6 +164,12 @@ def test_basis_set_validation():
     bad[2] = bad[2] * 1.01  # not unitary
     with pytest.raises(InvariantViolation):
         MubBasisSet(dim=d, bases=tuple(bad))
+
+
+def test_basis_set_rejects_ragged_bases():
+    bases = (np.eye(3), np.eye(3), np.eye(2), np.eye(3))
+    with pytest.raises(InvariantViolation, match="do not stack"):
+        MubBasisSet(dim=3, bases=bases)
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
