@@ -42,14 +42,11 @@ class PhaseSpaceGrid:
     p_max: float
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[0] < 2 or vals.shape[1] < 2:
-            raise EmptyGrid(f"grid needs at least 2x2 samples, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise InvariantViolation("grid contains non-finite values")
+        freeze_fields(self, float, values=self.values)
+        if self.values.ndim != 2 or min(self.values.shape) < 2:
+            raise EmptyGrid(f"grid needs at least 2x2 samples, got shape {self.values.shape}")
         if not (self.x_min < self.x_max and self.p_min < self.p_max):
             raise InvariantViolation("grid extents must be ordered")
-        freeze_fields(self, values=vals)
 
     @property
     def nx(self) -> int:
@@ -90,23 +87,17 @@ class Sinogram:
     s_max: float
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        thetas = np.asarray(self.thetas, dtype=float)
-        if vals.ndim != 2 or thetas.ndim != 1 or vals.shape[0] != thetas.shape[0]:
-            raise InvariantViolation(
-                f"got {vals.shape[0]}x{vals.shape[1] if vals.ndim == 2 else '?'} values "
-                f"for {thetas.shape[0]} angles"
-            )
-        if vals.shape[1] < 2:
-            raise InvariantViolation("sinogram needs at least two s samples")
-        if not np.all(np.isfinite(vals)):
-            raise InvariantViolation("sinogram contains non-finite values")
-        if np.any(thetas < 0.0) or np.any(thetas >= np.pi):
+        freeze_fields(self, float, values=self.values, thetas=self.thetas)
+        if self.values.ndim != 2 or self.values.shape[:1] != self.thetas.shape:
+            raise InvariantViolation(f"got values of shape {self.values.shape} "
+                                     f"for angles of shape {self.thetas.shape}")
+        if self.n_theta < 1 or self.n_s < 2:
+            raise InvariantViolation("sinogram needs at least one angle and two s samples")
+        if np.any(self.thetas < 0.0) or np.any(self.thetas >= np.pi):
             raise InvariantViolation("angles must lie in [0, pi)")
         if not self.s_min < self.s_max:
             raise InvariantViolation("s extents must be ordered")
-        freeze_fields(self, values=vals, thetas=thetas)
-        masses = vals.sum(axis=1) * self.ds
+        masses = self.values.sum(axis=1) * self.ds
         mean = float(np.mean(masses))
         if np.max(np.abs(masses - mean)) > MASS_TOL * max(1.0, abs(mean)):
             raise InvariantViolation("projection rows carry inconsistent total mass")
@@ -155,8 +146,9 @@ def _project_rows(grid: PhaseSpaceGrid, thetas, n_s: int, s_max: float) -> np.nd
     [s_k - ds/2, s_k + ds/2]. Raises ``MassOutsideAxis`` when a row misses
     part of ``grid.mass()`` because s_max is too small.
     """
-    if n_s < 2 or not s_max > 0:
-        raise InvariantViolation(f"need n_s >= 2 and s_max > 0, got {n_s} and {s_max}")
+    if n_s < 2 or not 0 < s_max < np.inf or not np.all(np.isfinite(thetas)):
+        raise InvariantViolation(f"need n_s >= 2, finite s_max > 0 and finite angles, "
+                                 f"got n_s = {n_s}, s_max = {s_max}")
     ds = 2.0 * s_max / (n_s - 1)
     mass = (grid.values * (grid.dx * grid.dp)).ravel()
     out = np.empty((len(thetas), n_s))
@@ -227,7 +219,7 @@ def radon_forward(grid: PhaseSpaceGrid, thetas, n_s: int,
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1 or thetas.size == 0:
         raise InvariantViolation("thetas must be a nonempty 1D sequence")
-    if np.any(thetas < 0.0) or np.any(thetas >= np.pi):
+    if not np.all((thetas >= 0.0) & (thetas < np.pi)):
         raise InvariantViolation("radon_forward angles must lie in [0, pi); "
                                  "use project_at_angle for the reflected half plane")
     if s_max is None:

@@ -52,12 +52,24 @@ class _Parser(argparse.ArgumentParser):
 
 def _count(minimum: int):
     """argparse ``type`` of a count flag: an int of at least ``minimum``. Sizes
-    the library cannot use (0 or 1 samples) stay its domain errors."""
+    the library rejects itself (0 or 1 samples) stay its domain errors."""
     def count(text: str) -> int:
         if int(text) < minimum:
             raise UsageError(f"must be at least {minimum}, got {text}")
         return int(text)
     return count
+
+
+def _finite(text: str) -> float:
+    """argparse ``type`` of an extent flag: a finite float, so an infinite or
+    NaN extent is a usage error rather than a failure inside numpy."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise UsageError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _uniform_angles(n: int) -> np.ndarray:
@@ -192,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="measure a qudit state in every basis")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--state", required=True, help="density JSON file")
-    p.add_argument("--shots", type=_count(0), default=None,
+    p.add_argument("--shots", type=_count(1), default=None,
                    help="finite-shot counts instead of exact probabilities")
     p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--out", required=True)
@@ -210,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angles", type=_count(1), required=True,
                    help="number of uniform angles on [0, pi)")
     p.add_argument("--ns", type=_count(0), default=None, help="samples per projection")
-    p.add_argument("--smax", type=float, default=None)
+    p.add_argument("--smax", type=_finite, default=None)
     p.add_argument("--csv", default=None, help="also export rows as CSV")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_radon)
@@ -219,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--nx", type=_count(0), default=None)
     p.add_argument("--np", type=_count(0), default=None)
-    p.add_argument("--xmax", type=float, default=None)
-    p.add_argument("--pmax", type=float, default=None)
+    p.add_argument("--xmax", type=_finite, default=None)
+    p.add_argument("--pmax", type=_finite, default=None)
     p.add_argument("--window", choices=["hann"], default=None,
                    help="apodize the ramp filter (for noisy rows)")
     p.add_argument("--csv", default=None)
@@ -230,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wigner", help="Wigner function of a continuous state")
     p.add_argument("--state", required=True, help="density or wavefunction JSON")
     p.add_argument("--grid", type=_count(0), required=True, help="samples per axis")
-    p.add_argument("--xmax", type=float, required=True, help="half extent of the axis")
+    p.add_argument("--xmax", type=_finite, required=True, help="half extent of the axis")
     p.add_argument("--np", type=_count(0), default=None)
-    p.add_argument("--pmax", type=float, default=None)
+    p.add_argument("--pmax", type=_finite, default=None)
     p.add_argument("--csv", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_wigner)
@@ -248,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="position density matrix from quadratures")
     p.add_argument("--quads", required=True, help="sinogram JSON of quadrature rows")
     p.add_argument("--nx", type=_count(0), default=None)
-    p.add_argument("--xmax", type=float, default=None)
+    p.add_argument("--xmax", type=_finite, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_reconstruct_cv)
 

@@ -80,19 +80,16 @@ class PositionDensityMatrix:
     x_max: float
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.ndim != 2 or vals.shape[0] != vals.shape[1] or vals.shape[0] < 2:
-            raise InvariantViolation(f"expected a square sample matrix, got {vals.shape}")
+        freeze_fields(self, complex, values=self.values)
+        if self.values.ndim != 2 or self.n < 2 or self.n != self.values.shape[1]:
+            raise InvariantViolation(f"expected a square sample matrix, got {self.values.shape}")
         if not self.x_min < self.x_max:
             raise InvariantViolation("x extents must be ordered")
-        if not np.all(np.isfinite(vals)):
-            raise InvariantViolation("density samples contain non-finite values")
-        if np.max(np.abs(vals - vals.conj().T)) > CV_HERMITIAN_TOL:
+        if np.max(np.abs(self.values - self.values.conj().T)) > CV_HERMITIAN_TOL:
             raise NonHermitianInput(
                 f"<x|rho|x'> must be Hermitian under conjugate transposition "
                 f"within {CV_HERMITIAN_TOL}"
             )
-        freeze_fields(self, values=vals)
         if abs(self.trace - 1.0) > CV_TRACE_TOL:
             raise InvariantViolation(f"trace integral is {self.trace:.8f}, expected 1")
 
@@ -329,7 +326,7 @@ def _quadrature_rows(
     rho: PositionDensityMatrix, thetas: np.ndarray, s: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows <s,theta| rho |s,theta> for every angle, and the checked s axis."""
-    bad = (thetas < 0) | (thetas >= np.pi)
+    bad = ~((thetas >= 0) & (thetas < np.pi))
     if np.any(bad):
         raise InvariantViolation(f"theta = {thetas[bad][0]} outside [0, pi)")
     x = rho.x

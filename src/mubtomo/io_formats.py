@@ -48,7 +48,7 @@ def _parse(path) -> dict:
 def _load(path, kind: str, **types) -> list:
     """Values of the header keys, each converted by ``_array`` to its type in
     ``types`` (int, float, or None to keep it as parsed), then ``data``, of a
-    ``kind`` document."""
+    ``kind`` document. Float header values must be finite."""
     doc = _parse(path)
     if doc.get("format") != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported format {doc.get('format')!r}")
@@ -57,8 +57,12 @@ def _load(path, kind: str, **types) -> list:
     for key in (*types, "data"):
         if key not in doc:
             raise FormatError(f"{path}: missing required key {key!r}")
-    return [doc[key] if typ is None else _array(doc[key], path, (), typ, repr(key)).item()
-            for key, typ in types.items()] + [doc["data"]]
+    header = {key: doc[key] if typ is None else _array(doc[key], path, (), typ, repr(key)).item()
+              for key, typ in types.items()}
+    for key, value in header.items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise FormatError(f"{path}: {key!r} must be finite, got {value!r}")
+    return [*header.values(), doc["data"]]
 
 
 def _array(data, path, shape: tuple | None = None, dtype=float, name="data") -> np.ndarray:

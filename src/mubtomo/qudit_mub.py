@@ -87,18 +87,14 @@ class MubBasisSet:
     bases: np.ndarray
 
     def __post_init__(self):
+        freeze_fields(self, complex, bases=self.bases)
         shape = (self.dim + 1, self.dim, self.dim)
-        try:
-            bases = np.asarray(self.bases, dtype=complex)
-        except ValueError as exc:  # ragged input
-            raise InvariantViolation(f"bases do not stack into shape {shape}") from exc
-        if bases.shape != shape:
-            raise InvariantViolation(f"bases have shape {bases.shape}, expected {shape}")
+        if self.bases.shape != shape:
+            raise InvariantViolation(f"bases have shape {self.bases.shape}, expected {shape}")
         eye = np.eye(self.dim)
-        for k, U in enumerate(bases):
+        for k, U in enumerate(self.bases):
             if np.max(np.abs(U.conj().T @ U - eye)) > ROUNDING_TOL:
                 raise InvariantViolation(f"basis {k} is not unitary within {ROUNDING_TOL}")
-        freeze_fields(self, bases=bases)
 
 
 def build_mub_set(modulus: PrimeModulus) -> MubBasisSet:

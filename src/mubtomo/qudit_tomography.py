@@ -18,15 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import freeze_fields
+from ._frozen import finite_array, freeze_fields
 from .errors import (EIGENVALUE_FLOOR, ROUNDING_TOL, ROW_SUM_TOL, DimensionMismatch,
                      InvariantViolation, NonHermitianInput)
 from .qudit_mub import MubBasisSet
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; return rho as complex array."""
-    rho = np.asarray(rho, dtype=complex)
+    """Check finiteness, Hermiticity, unit trace and positivity; return a complex copy."""
+    rho = finite_array(rho, complex, "density matrix")
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionMismatch(f"density matrix must be square, got shape {rho.shape}")
     if np.max(np.abs(rho - rho.conj().T)) > ROUNDING_TOL:
@@ -58,21 +58,22 @@ class ProbabilityTable:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.dim + 1, self.dim):
+        freeze_fields(self, float, values=self.values)
+        if self.dim < 1:
+            raise InvariantViolation(f"dimension must be at least 1, got {self.dim}")
+        if self.values.shape != (self.dim + 1, self.dim):
             raise DimensionMismatch(
-                f"expected shape {(self.dim + 1, self.dim)}, got {vals.shape}"
+                f"expected shape {(self.dim + 1, self.dim)}, got {self.values.shape}"
             )
-        if np.min(vals) < -ROUNDING_TOL or np.max(vals) > 1 + ROUNDING_TOL:
+        if np.min(self.values) < -ROUNDING_TOL or np.max(self.values) > 1 + ROUNDING_TOL:
             raise InvariantViolation("probabilities must lie in [0, 1]")
         # finite-shot frequency tables are allowed through with a warning
-        worst = float(np.max(np.abs(vals.sum(axis=1) - 1.0)))
+        worst = float(np.max(np.abs(self.values.sum(axis=1) - 1.0)))
         if worst > ROW_SUM_TOL:
             warnings.warn(
                 f"probability rows deviate from unit sum by up to {worst:.3g}",
                 stacklevel=3,
             )
-        freeze_fields(self, values=vals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,16 +85,17 @@ class CountTable:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts)
-        if counts.shape != (self.dim + 1, self.dim):
+        freeze_fields(self, counts=self.counts)
+        if self.dim < 1:
+            raise InvariantViolation(f"dimension must be at least 1, got {self.dim}")
+        if self.counts.shape != (self.dim + 1, self.dim):
             raise DimensionMismatch(
-                f"expected shape {(self.dim + 1, self.dim)}, got {counts.shape}"
+                f"expected shape {(self.dim + 1, self.dim)}, got {self.counts.shape}"
             )
-        if np.min(counts) < 0 or not np.issubdtype(counts.dtype, np.integer):
+        if np.min(self.counts) < 0 or not np.issubdtype(self.counts.dtype, np.integer):
             raise InvariantViolation("counts must be nonnegative integers")
-        if np.any(counts.sum(axis=1) != self.shots_per_basis):
+        if np.any(self.counts.sum(axis=1) != self.shots_per_basis):
             raise InvariantViolation("each row must sum to shots_per_basis")
-        freeze_fields(self, counts=counts)
 
 
 def measure_probabilities(rho: np.ndarray, mub_set: MubBasisSet) -> ProbabilityTable:

@@ -3,8 +3,11 @@
 Every tolerance lives in the table at the top of ``errors.py``, so no other
 module holds a small float literal; and every error the library raises is a
 ``MubTomoError``, so the CLI reports each one on a single stderr line.
-Every count flag of the CLI is parsed with its lower bound, so a negative
-size is a usage error rather than a failure inside numpy.
+Every count flag of the CLI is parsed with its lower bound, and every
+float flag as a finite number, so a negative size or an infinite extent is
+a usage error rather than a failure inside numpy. Every frozen dataclass
+stores its arrays through ``freeze_fields`` before it checks them, so no
+check sees a NaN.
 """
 
 import ast
@@ -62,3 +65,26 @@ def test_cli_count_flags_are_bounded():
         and ast.literal_eval(node.args[0]) != "--dim"
     ]
     assert not hits, hits
+
+
+def test_cli_has_no_bare_float_flags():
+    """A bare float lets inf and nan through; extents use ``_finite``."""
+    tree = dict(_trees())["cli.py"]
+    hits = [
+        f"cli.py:{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.keyword) and node.arg == "type"
+        and ast.unparse(node.value) == "float"
+    ]
+    assert not hits, hits
+
+
+def test_post_init_freezes_fields_first():
+    inits = [
+        (name, node) for name, tree in _trees() for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+        and "freeze_fields(" in ast.unparse(node)
+    ]
+    hits = [f"{name}:{node.lineno}" for name, node in inits
+            if not ast.unparse(node.body[0]).startswith("freeze_fields(")]
+    assert inits and not hits, hits

@@ -164,6 +164,19 @@ def test_forward_validations():
         PhaseSpaceGrid(values=np.ones((1, 4)), x_min=0, x_max=1, p_min=0, p_max=1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_forward_rejects_non_finite_angles_and_extents(bad):
+    grid = gaussian_mixture_grid(16, 4.0, ISOTROPIC)
+    with pytest.raises(InvariantViolation):
+        radon_forward(grid, [0.1, bad], n_s=16)
+    with pytest.raises(InvariantViolation):
+        project_at_angle(grid, bad, n_s=16)
+    with pytest.raises(InvariantViolation):
+        radon_forward(grid, [0.1], n_s=16, s_max=bad)
+    with pytest.raises(InvariantViolation):
+        project_at_angle(grid, 0.1, n_s=16, s_max=bad)
+
+
 # ------------------------------------------------------------ fourier slice
 
 
@@ -319,6 +332,11 @@ def test_sinogram_rejects_angles_outside_range():
     with pytest.raises(InvariantViolation):
         Sinogram(values=np.ones((2, 32)), thetas=np.array([0.0, np.pi]),
                  s_min=-4, s_max=4)
+
+
+def test_sinogram_rejects_empty_rows():
+    with pytest.raises(InvariantViolation, match="at least one angle"):
+        Sinogram(values=np.zeros((0, 4)), thetas=[], s_min=-1.0, s_max=1.0)
 
 
 def test_grid_properties():

@@ -204,6 +204,8 @@ def test_quadrature_rejects_out_of_range_angle(rho0):
         quadrature_distribution(rho0, np.pi)
     with pytest.raises(ValueError):
         quadrature_distribution(rho0, -0.1)
+    with pytest.raises(InvariantViolation, match="nan outside"):
+        quadrature_distribution(rho0, np.nan)
 
 
 def test_quadrature_aliased_grid():

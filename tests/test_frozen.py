@@ -1,10 +1,11 @@
-"""Every frozen dataclass stores read-only copies of the arrays it is given."""
+"""Every frozen dataclass stores read-only, finite copies of the arrays it is given."""
 
 import numpy as np
 import pytest
 
 from mubtomo.classical_radon import PhaseSpaceGrid, Sinogram
 from mubtomo.cv_wigner import PositionDensityMatrix
+from mubtomo.errors import InvariantViolation
 from mubtomo.qudit_mub import MubBasisSet
 from mubtomo.qudit_tomography import CountTable, ProbabilityTable
 
@@ -20,9 +21,10 @@ def _cases():
     yield lambda a: MubBasisSet(3, a), np.stack([np.eye(3, dtype=complex)] * 4), "bases"
 
 
-@pytest.mark.parametrize("make, arr, field", list(_cases()),
-                         ids=["grid", "sinogram", "thetas", "density", "probabilities", "counts",
-                              "bases"])
+_IDS = ["grid", "sinogram", "thetas", "density", "probabilities", "counts", "bases"]
+
+
+@pytest.mark.parametrize("make, arr, field", list(_cases()), ids=_IDS)
 def test_fields_are_read_only_copies(make, arr, field):
     obj = make(arr)
     stored = getattr(obj, field)
@@ -34,3 +36,13 @@ def test_fields_are_read_only_copies(make, arr, field):
     with pytest.raises(ValueError):
         stored.flat[0] = 0
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("make, arr, field", list(_cases()), ids=_IDS)
+def test_fields_reject_non_finite_entries(make, arr, field, bad):
+    """Checks of the form ``deviation > tol`` are false for NaN, so the
+    stored array is checked for finiteness before any of them runs."""
+    arr = arr.astype(np.result_type(arr, float))
+    arr.flat[-1] = bad
+    with pytest.raises(InvariantViolation, match=rf"\.{field} has non-finite entries"):
+        make(arr)

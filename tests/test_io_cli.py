@@ -250,6 +250,9 @@ def _malformed_cases():
         for key, value in header.items():
             if type(value) is int:
                 yield reader, f"fractional_{key}", {key: value + 0.5}
+            if type(value) is float:
+                yield reader, f"infinite_{key}", {key: float("inf")}
+                yield reader, f"nan_{key}", {key: float("nan")}
         if reader in _COMPLEX:
             yield reader, "complex_not_in_pairs", {"data": np.asarray(data)[..., :1].tolist()}
         if reader == "read_mub_set":
@@ -281,6 +284,19 @@ def test_table_shape_is_checked_by_the_table(tmp_path, reader):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(_document(reader, dim=3)))
     with pytest.raises(DimensionMismatch):
+        getattr(iof, reader)(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("reader", ["read_qudit_density", "read_position_density", "read_mub_set",
+                                    "read_probability_table", "read_grid", "read_sinogram"])
+def test_readers_reject_non_finite_data(tmp_path, reader, bad):
+    """A parsed NaN or Infinity in the data is the domain type's error (exit 3)."""
+    data = np.array(_VALID[reader][2], dtype=float)
+    data.flat[-1] = bad
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_document(reader, data=data.tolist())))
+    with pytest.raises(InvariantViolation, match="non-finite"):
         getattr(iof, reader)(path)
 
 
@@ -446,6 +462,66 @@ def test_cli_reconstruct_rejects_zero_shots(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err.count("\n") == 1 and err.startswith("InvariantViolation:")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("radon", "--smax"), ("iradon", "--xmax"), ("iradon", "--pmax"), ("wigner", "--xmax"),
+    ("wigner", "--pmax"), ("reconstruct-cv", "--xmax"),
+])
+def test_cli_rejects_non_finite_extent_flags(tmp_path, capsys, command, flag):
+    argv = _valid_argv(tmp_path, command)
+    assert main(argv) == 0  # the inputs are valid without the flag
+    (tmp_path / "out.json").unlink()
+    capsys.readouterr()
+    for value in ("inf", "-inf", "nan"):
+        code = main(argv + [flag, value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("UsageError:") and flag in err
+        assert not (tmp_path / "out.json").exists()
+
+
+def _unusable_argv(tmp_path, case):
+    """A CLI invocation, writing ``out.json``, on input the readers parse but
+    the pipeline cannot use."""
+    state, doc = tmp_path / "state.json", tmp_path / "doc.json"
+    rho = np.eye(3, dtype=complex) / 3
+    if case == "nan_state":
+        rho[0, 1] = np.nan  # eigvalsh reads only the lower triangle
+    iof.write_qudit_density(state, rho)
+    probs = np.full((4, 3), 1 / 3)
+    probs[1, 1] = np.nan
+    docs = {
+        "nan_probabilities": _document("read_probability_table", dim=3, data=probs.tolist()),
+        "zero_dim_probabilities": _document("read_probability_table", dim=0, data=[[]]),
+        "zero_dim_counts": _document("read_count_table", dim=0, data=[[]]),
+        "infinite_x_max": _document("read_wavefunction", x_max=float("inf")),
+    }
+    docs["nan_probabilities_projected"] = docs["nan_probabilities"]
+    doc.write_text(json.dumps(docs.get(case, {})))
+    argv = {
+        "nan_state": ["simulate", "--dim", "3", "--state", str(state)],
+        "zero_shots": ["simulate", "--dim", "3", "--state", str(state), "--shots", "0"],
+        "infinite_x_max": ["quads", "--state", str(doc), "--angles", "4"],
+        "nan_probabilities_projected": ["reconstruct", "--probs", str(doc), "--project"],
+    }.get(case, ["reconstruct", "--probs", str(doc)])
+    return argv + ["--out", str(tmp_path / "out.json")]
+
+
+@pytest.mark.parametrize("case, code, error", [
+    ("nan_state", 3, "InvariantViolation"),
+    ("nan_probabilities", 3, "InvariantViolation"),
+    ("nan_probabilities_projected", 3, "InvariantViolation"),
+    ("zero_shots", 2, "UsageError"),
+    ("infinite_x_max", 2, "FormatError"),
+    ("zero_dim_probabilities", 3, "InvariantViolation"),
+    ("zero_dim_counts", 3, "InvariantViolation"),
+])
+def test_cli_rejects_unusable_input(tmp_path, capsys, case, code, error):
+    assert main(_unusable_argv(tmp_path, case)) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"{error}:")
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_cli_radon_iradon_round_trip(tmp_path):

@@ -66,6 +66,23 @@ def test_state_validation():
         validate_density_matrix(neg)
 
 
+def test_state_validation_rejects_nan_in_the_upper_triangle():
+    """The Hermiticity check is false for NaN and eigvalsh reads only the
+    lower triangle, so finiteness is checked first."""
+    rho = np.eye(3, dtype=complex) / 3
+    rho[0, 1] = np.nan
+    with pytest.raises(InvariantViolation, match="non-finite"):
+        validate_density_matrix(rho)
+
+
+@pytest.mark.parametrize("make", [lambda: ProbabilityTable(0, np.zeros((1, 0))),
+                                  lambda: CountTable(0, 5, np.zeros((1, 0), dtype=int))],
+                         ids=["probabilities", "counts"])
+def test_tables_need_a_positive_dimension(make):
+    with pytest.raises(InvariantViolation, match="at least 1"):
+        make()
+
+
 # ---------------------------------------------------------------- sampling
 
 
