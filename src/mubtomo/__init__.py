@@ -10,8 +10,6 @@ Two pipelines at desk scale:
   inverse (``classical_radon``, ``cv_wigner``).
 
 Submodules are imported explicitly, e.g. ``from mubtomo import qudit_mub``.
-This file stays import-light so the command line entry point can cap BLAS
-thread pools (MUBTOMO_THREADS) before numpy loads.
 """
 
 __version__ = "0.1.0"

@@ -1,27 +1,12 @@
 """mubtomo command line: reproducible file-to-file tomography pipelines.
 
-Exit codes: 0 success, 2 invalid invocation or unreadable file, 3 violated
+Exit codes: 0 success, 2 invalid invocation or unusable file, 3 violated
 domain invariant, 4 numeric failure (aliased grid, degenerate angle).
 Errors print exactly one ``Name: message`` line on stderr.
 """
 
-import os
-import sys
-
-# Cap BLAS pools before numpy loads anywhere in the process. Effective for
-# console-script entry because the package __init__ imports nothing heavy.
-_threads = os.environ.get("MUBTOMO_THREADS")
-if _threads and _threads.isdigit() and int(_threads) > 0:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS",
-    ):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
+import sys
 
 import numpy as np
 
@@ -276,9 +261,6 @@ def main(argv=None) -> int:
     except MubTomoError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"FileNotFound: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

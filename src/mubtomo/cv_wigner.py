@@ -424,7 +424,9 @@ def reconstruct_density_continuous(
 
     Returns ``(rho, raw_trace)`` where raw_trace is the trace integral
     before the final renormalization; it should sit near 1 for
-    well-resolved data and is a useful discretization-error report.
+    well-resolved data and is a useful discretization-error report. A
+    trace integral that is not positive (all-zero rows, say) raises
+    InvariantViolation.
     """
     reach = min(abs(quads.s_min), abs(quads.s_max))
     x_max = reach / np.sqrt(2.0) if x_max is None else float(x_max)
@@ -442,6 +444,9 @@ def reconstruct_density_continuous(
     rho = G[ii + jj, (jj - ii) + (n_x - 1)]
     rho = 0.5 * (rho + rho.conj().T)
     raw_trace = float(np.sum(np.real(np.diagonal(rho))) * du)
+    if not raw_trace > 0:
+        raise InvariantViolation(f"the reconstructed density has trace integral {raw_trace!r}, "
+                                 "not positive; there is no state to normalize")
     rho = rho / raw_trace
     return (
         PositionDensityMatrix(values=rho, x_min=-x_max, x_max=x_max),

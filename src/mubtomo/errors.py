@@ -6,7 +6,7 @@ no tolerance literal of their own.
 
 Every error the library raises is a ``MubTomoError``. Each class doubles as
 a machine-readable error code: the CLI prints the class name on stderr and
-exits with ``exit_code`` (2 bad invocation or unreadable file, 3 violated
+exits with ``exit_code`` (2 bad invocation or unusable file, 3 violated
 domain invariant, 4 numeric failure). ``InvariantViolation`` and
 ``InsufficientAngles`` reject an argument's value, so they are also
 ``ValueError``s; ``UsageError`` is also an ``argparse.ArgumentTypeError``,
@@ -60,7 +60,7 @@ class UsageError(MubTomoError, argparse.ArgumentTypeError):
 
 
 class FormatError(MubTomoError):
-    """File exists but is not a readable mubtomo JSON document."""
+    """File cannot be opened, or is not a readable mubtomo JSON document."""
 
     exit_code = 2
 

@@ -3,13 +3,14 @@
 Every document is ``{"format": 1, "kind": <kind>, <header keys>, "data": ...}``.
 Complex entries are [re, im] pairs, matrices row-major nested lists. Writers
 emit plain ``repr`` floats, so a write/read cycle is bit-exact for float64.
-Readers re-validate the wrapped type's invariants; schema problems raise
-FormatError (exit 2), violated invariants raise the domain error (exit 3).
+Readers re-validate the wrapped type's invariants; file and schema problems
+raise FormatError (exit 2), violated invariants the domain error (exit 3).
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -26,19 +27,29 @@ def _pairs(arr: np.ndarray) -> list:
     return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
+@contextmanager
+def _opened(path, mode: str):
+    """``path`` as UTF-8 text; any OS failure on it is a FormatError naming it."""
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def _dump(path, kind: str, data, extra: dict | None = None, **header):
     """Write format, kind, the header keys in order, data, then extra keys."""
     doc = {"format": FORMAT_VERSION, "kind": kind, **header, "data": data, **(extra or {})}
     text = json.dumps(doc) + "\n"  # dumps runs the C encoder; dump does not
-    with open(path, "w", encoding="utf-8") as fh:
+    with _opened(path, "w") as fh:
         fh.write(text)
 
 
 def _parse(path) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _opened(path, "r") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, too deep, too long an int
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: top level must be a JSON object")
@@ -80,14 +91,14 @@ def _array(data, path, shape: tuple | None = None, dtype=float, name="data") -> 
     if dtype is complex:
         if arr.ndim < 1 or arr.shape[-1] != 2:
             raise FormatError(f"{path}: complex entries must be [re, im] pairs")
-        arr = arr[..., 0] + 1j * arr[..., 1]
+        arr = np.ascontiguousarray(arr).view(complex)[..., 0]  # bit for bit, signed zeros too
     if shape is not None and arr.shape != shape:
         raise FormatError(f"{path}: {name} shape {arr.shape} does not match {shape}")
     return arr
 
 
 def _write_csv(path, comments: list, rows):
-    with open(path, "w", encoding="utf-8") as fh:
+    with _opened(path, "w") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         for row in rows:
@@ -202,12 +213,12 @@ def read_sinogram(path) -> Sinogram:
 def write_grid_csv(path, grid: PhaseSpaceGrid):
     """Row-major CSV: one line per x sample, p along columns."""
     _write_csv(path, [f"kind=grid nx={grid.nx} np={grid.n_p} "
-                      f"x_min={grid.x_min!r} x_max={grid.x_max!r} "
-                      f"p_min={grid.p_min!r} p_max={grid.p_max!r}"], grid.values)
+                      f"x_min={float(grid.x_min)!r} x_max={float(grid.x_max)!r} "
+                      f"p_min={float(grid.p_min)!r} p_max={float(grid.p_max)!r}"], grid.values)
 
 
 def write_sinogram_csv(path, sino: Sinogram):
     """Row-major CSV: one line per angle, s along columns."""
     _write_csv(path, [f"kind=sinogram n_theta={sino.n_theta} n_s={sino.n_s} "
-                      f"s_min={sino.s_min!r} s_max={sino.s_max!r}",
+                      f"s_min={float(sino.s_min)!r} s_max={float(sino.s_max)!r}",
                       "thetas=" + ",".join(map(repr, sino.thetas.tolist()))], sino.values)

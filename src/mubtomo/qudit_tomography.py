@@ -122,7 +122,8 @@ def sample_counts(table: ProbabilityTable, shots: int, seed: int) -> CountTable:
 
     The counts are computed from each row's sorted stream, cut at c[:-1]
     with ``side="left"`` (a draw equal to c[k] is outcome k + 1), which
-    gives the same counts as the per-draw search.
+    gives the same counts as the per-draw search. With ``shots > 0``, a row
+    whose total is not positive raises ``InvariantViolation``.
     """
     if shots < 0:
         raise InvariantViolation(f"shots must be nonnegative, got {shots}")
@@ -135,6 +136,9 @@ def sample_counts(table: ProbabilityTable, shots: int, seed: int) -> CountTable:
             key = (seed & ((1 << 64) - 1)) + (r << 64)
             gen = np.random.Generator(np.random.Philox(key=key))
             cum = np.cumsum(table.values[r])
+            if not cum[-1] > 0:
+                raise InvariantViolation(f"probability row {r} has total {cum[-1]:.3g}; "
+                                         "there is nothing to sample")
             # probabilities down to -ROUNDING_TOL may dip c; keep counts nonnegative
             cum = np.maximum.accumulate(cum / cum[-1])
             below = np.searchsorted(np.sort(gen.random(shots)), cum[:-1], side="left")
@@ -187,7 +191,7 @@ def project_to_physical(rho: np.ndarray) -> np.ndarray:
     sum) and the matrix is rebuilt in the same eigenbasis. Already
     physical input is returned unchanged up to rounding.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = finite_array(rho, complex, "matrix")
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {rho.shape}")
     herm = 0.5 * (rho + rho.conj().T)

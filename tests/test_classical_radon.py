@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,16 @@ def test_mass_off_the_axis_is_named():
             radon_forward(grid, _angles(8), n_s=128, s_max=s_max)
     with pytest.raises(MassOutsideAxis):
         project_at_angle(grid, 0.4, n_s=128, s_max=3.0)
+
+
+def test_tiny_s_max_fails_fast():
+    """The footprints span thousands of bins at this s_max; the lost mass is
+    found before any of them is deposited."""
+    grid = gaussian_mixture_grid(16, 3.0, ISOTROPIC)
+    start = time.perf_counter()
+    with pytest.raises(MassOutsideAxis, match="default s_max"):
+        radon_forward(grid, _angles(4), n_s=16, s_max=1e-4)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_forward_validations():

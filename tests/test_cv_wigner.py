@@ -385,6 +385,13 @@ def test_reconstruct_density_continuous_ground_state(rho0):
     assert np.max(np.abs(diag - exact)) <= 0.03 * exact.max()
 
 
+def test_reconstruct_density_continuous_rejects_zero_trace():
+    sino = Sinogram(values=np.zeros((8, 64)),
+                    thetas=np.arange(8) * np.pi / 8, s_min=-8, s_max=8)
+    with pytest.raises(InvariantViolation, match="trace integral 0.0"):
+        reconstruct_density_continuous(sino)
+
+
 def test_route_equivalence_compact(rho0):
     """Direct transform vs measure-and-invert on a reduced angle budget."""
     thetas = np.arange(60) * np.pi / 60

@@ -101,6 +101,36 @@ def test_sample_counts_degenerate_row():
     assert np.all(counts.counts[:, 1:] == 0)
 
 
+def test_sample_counts_rejects_a_row_with_no_mass():
+    """A table with an all-zero row passes with a warning, but there is no
+    distribution to draw that row from."""
+    vals = np.full((4, 3), 1 / 3)
+    vals[2] = 0.0
+    with pytest.warns(UserWarning):
+        table = ProbabilityTable(dim=3, values=vals)
+    with pytest.raises(InvariantViolation, match="row 2"):
+        sample_counts(table, 1000, 0)
+    assert sample_counts(table, 0, 0).shots_per_basis == 0
+
+
+def test_inversion_error_matches_the_two_design_prediction():
+    """The MUBs form a 2-design, so the linear inversion error of N-shot
+    frequencies has mean E||rho_hat - rho||_HS^2 = (d - Tr rho^2)/N. The
+    mean over a fixed seed range lies within 4 standard errors of it."""
+    d, shots = 7, 2000
+    ms = _set(d)
+    rho = random_density_matrix(d, seed=11)
+    table = measure_probabilities(rho, ms)
+    errors = np.array([
+        np.sum(np.abs(reconstruct_density(frequencies(sample_counts(table, shots, seed)), ms)
+                      - rho) ** 2)
+        for seed in range(400)
+    ])
+    predicted = (d - np.trace(rho @ rho).real) / shots
+    z = (errors.mean() - predicted) / (errors.std(ddof=1) / np.sqrt(errors.size))
+    assert abs(z) <= 4.0, (errors.mean(), predicted, z)
+
+
 def test_sample_counts_deterministic_and_frozen():
     table = ProbabilityTable(dim=3, values=np.full((4, 3), 1 / 3))
     a = sample_counts(table, 10, 42)
@@ -296,6 +326,14 @@ def test_project_identity_on_physical_states():
 def test_project_clips_negative_eigenvalue():
     out = project_to_physical(np.diag([1.2, -0.2]).astype(complex))
     assert np.max(np.abs(out - np.diag([1.0, 0.0]))) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_project_rejects_non_finite_matrix(bad):
+    raw = np.eye(3, dtype=complex) / 3
+    raw[1, 2] = bad
+    with pytest.raises(InvariantViolation, match="non-finite"):
+        project_to_physical(raw)
 
 
 def test_project_output_always_physical():
