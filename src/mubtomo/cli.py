@@ -6,6 +6,8 @@ Errors print exactly one ``Name: message`` line on stderr.
 """
 
 import argparse
+import contextlib
+import os
 import sys
 
 import numpy as np
@@ -55,6 +57,18 @@ def _finite(text: str) -> float:
     if not np.isfinite(value):
         raise UsageError(f"must be a finite number, got {text!r}")
     return value
+
+
+def _write(*outputs):
+    """Run each (writer, path, value) whose path is given. When one fails,
+    remove the files the earlier ones wrote, so a failed command leaves no
+    output behind."""
+    with contextlib.ExitStack() as undo:
+        for writer, path, value in outputs:
+            if path:
+                writer(path, value)
+                undo.callback(os.remove, path)
+        undo.pop_all()
 
 
 def _uniform_angles(n: int) -> np.ndarray:
@@ -130,9 +144,7 @@ def _cmd_radon(args):
         n_s=args.ns if args.ns is not None else grid.nx,
         s_max=args.smax,
     )
-    iof.write_sinogram(args.out, sino)
-    if args.csv:
-        iof.write_sinogram_csv(args.csv, sino)
+    _write((iof.write_sinogram, args.out, sino), (iof.write_sinogram_csv, args.csv, sino))
 
 
 def _cmd_iradon(args):
@@ -143,9 +155,7 @@ def _cmd_iradon(args):
     if args.pmax is not None:
         kwargs.update(p_min=-args.pmax, p_max=args.pmax)
     grid = inverse_radon(sino, args.nx, args.np, window=args.window, **kwargs)
-    iof.write_grid(args.out, grid)
-    if args.csv:
-        iof.write_grid_csv(args.csv, grid)
+    _write((iof.write_grid, args.out, grid), (iof.write_grid_csv, args.csv, grid))
 
 
 def _cmd_wigner(args):
@@ -155,17 +165,13 @@ def _cmd_wigner(args):
         n_p=args.np if args.np is not None else args.grid,
         p_max=args.pmax if args.pmax is not None else args.xmax,
     )
-    iof.write_grid(args.out, W)
-    if args.csv:
-        iof.write_grid_csv(args.csv, W)
+    _write((iof.write_grid, args.out, W), (iof.write_grid_csv, args.csv, W))
 
 
 def _cmd_quads(args):
     rho = _load_cv_state(args.state)
     sino = quadrature_sinogram(rho, _uniform_angles(args.angles))
-    iof.write_sinogram(args.out, sino)
-    if args.csv:
-        iof.write_sinogram_csv(args.csv, sino)
+    _write((iof.write_sinogram, args.out, sino), (iof.write_sinogram_csv, args.csv, sino))
 
 
 def _cmd_reconstruct_cv(args):

@@ -1,7 +1,8 @@
 """Arithmetic modulo an odd prime d, including Weyl-exponent bookkeeping.
 
 Pure integer functions, all exact. ``qudit_mub`` reduces its own exponents;
-``weyl_decompose`` is the operator grouping acceptance criterion C03 checks.
+``weyl_decompose`` is the operator grouping acceptance criterion C03 checks,
+and the grouping the finite-Radon route of ``qudit_tomography`` vectorises.
 """
 
 from __future__ import annotations
@@ -83,6 +84,14 @@ def weyl_decompose(idx: WeylIndex, modulus: PrimeModulus) -> WeylDecomposition:
     b = l/m and nu = -b*m*(m-1)/2, all mod d. Since m*(m-1) is even the
     half is taken in plain integers, so no inverse of 2 is needed and the
     exponent is exact.
+
+    So the Weyl operators on the line l = b m through the origin are powers
+    of X Z^b, diagonal in basis b: the DFT over c of MUB row 1+b holds the
+    expectations of (X Z^b)^-m. ``qudit_tomography.reconstruct_density``
+    applies this grouping to all d^2 - 1 pairs (m, l) at once instead of
+    calling this function for each: for each power m of X, its inverse FFT
+    over b runs over l = b m, and the chirp omega^(b m(m-1)/2) in its
+    formula is omega^-nu.
     """
     m, l = idx
     d = modulus.d

@@ -15,10 +15,17 @@ integers and then pick one of the d amplitudes omega^k / sqrt(d), each a
 single complex exponential, so no rounding accumulates.
 The amplitude at n = 0 is the positive real d^{-1/2}; this pins the free
 global phase of each ket and makes serialization reproducible.
+
+``build_mub_set`` returns a ``CanonicalMubSet``, which holds only d and
+builds the (d+1, d, d) array when a caller reads ``bases``. Because the
+overlap <b;c|b';c'> depends only on (b' - b, c' - c), ``mub_deviation``
+certifies such a set from d - 1 chirp FFTs, O(d^2 log d), where a set of
+arbitrary matrices takes the pairwise O(d^5) comparison.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -51,11 +58,16 @@ def weyl_operator(modulus: PrimeModulus, m: int, l: int) -> np.ndarray:
     return M
 
 
+def _amplitudes(d: int) -> np.ndarray:
+    """The d values omega^k / sqrt(d) that every amplitude <n|b;c> takes."""
+    return np.exp(2j * np.pi * np.arange(d) / d) / np.sqrt(d)
+
+
 def _mub_amplitudes(d: int, b: int, c) -> np.ndarray:
     """Amplitudes <n|b;c> along axis 0, broadcast over an array of labels c."""
     n = np.arange(d).reshape((d,) + (1,) * np.ndim(c))
     expo = (b * (n * (n - 1) // 2) - np.asarray(c) * n) % d
-    return (np.exp(2j * np.pi * np.arange(d) / d) / np.sqrt(d))[expo]
+    return _amplitudes(d)[expo]
 
 
 def mub_vector(modulus: PrimeModulus, b: int, c: int) -> np.ndarray:
@@ -80,7 +92,9 @@ class MubBasisSet:
 
     ``bases[0]`` is the identity (computational basis); ``bases[1 + b]``
     diagonalises X Z^b. Cross-basis overlaps all have modulus 1/sqrt(d);
-    ``mub_deviation`` measures how far a given set strays from that.
+    ``mub_deviation`` measures how far a given set strays from that. Sets
+    read from a file or built by hand are this type and take the dense
+    routes; ``build_mub_set`` returns the structured ``CanonicalMubSet``.
     """
 
     dim: int
@@ -97,19 +111,62 @@ class MubBasisSet:
                 raise InvariantViolation(f"basis {k} is not unitary within {ROUNDING_TOL}")
 
 
-def build_mub_set(modulus: PrimeModulus) -> MubBasisSet:
-    """Construct all d+1 bases for the validated odd prime d."""
-    d = modulus.d
-    bases = np.empty((d + 1, d, d), dtype=complex)
-    bases[0] = np.eye(d)
-    for b in range(d):
-        bases[1 + b] = basis_matrix(modulus, b)
-    return MubBasisSet(dim=d, bases=bases)
+class CanonicalMubSet(MubBasisSet):
+    """The bases |b;c> of the module docstring for an odd prime d, held as d alone.
+
+    ``bases`` is built on first read, with the bytes and the read-only flag
+    that ``MubBasisSet`` would hold, and kept. ``mub_deviation``,
+    ``qudit_tomography.measure_probabilities`` and
+    ``qudit_tomography.reconstruct_density`` recognise this type and never
+    read it.
+    """
+
+    def __init__(self, modulus: PrimeModulus):
+        object.__setattr__(self, "dim", modulus.d)
+
+    def __repr__(self):
+        return f"CanonicalMubSet(dim={self.dim})"
+
+    @functools.cached_property
+    def bases(self) -> np.ndarray:
+        d = self.dim
+        bases = np.empty((d + 1, d, d), dtype=complex)
+        bases[0] = np.eye(d)
+        for b in range(d):
+            bases[1 + b] = _mub_amplitudes(d, b, np.arange(d))
+        bases.setflags(write=False)
+        return bases
+
+
+def build_mub_set(modulus: PrimeModulus) -> CanonicalMubSet:
+    """The d+1 bases for the validated odd prime d; no matrix is built yet."""
+    return CanonicalMubSet(modulus)
+
+
+def _cross_overlaps(d: int) -> np.ndarray:
+    """<b;c|b';c'> of the canonical set, b' != b, at [(b' - b) - 1, c' - c] mod d.
+
+    The overlap is (1/d) sum_n omega^((b' - b) n(n-1)/2 - (c' - c) n), so it
+    depends only on the two differences: the DFT of the chirp of each
+    b' - b gives all d of them.
+    """
+    n = np.arange(d)
+    chirps = _amplitudes(d)[(np.arange(1, d)[:, np.newaxis] * (n * (n - 1) // 2)) % d]
+    return np.fft.fft(chirps, axis=1) / np.sqrt(d)
 
 
 def mub_deviation(mub_set: MubBasisSet) -> float:
-    """Worst-case | |<u|v>| - 1/sqrt(d) | over all cross-basis ket pairs."""
+    """Worst-case | |<u|v>| - 1/sqrt(d) | over all cross-basis ket pairs.
+
+    For a ``CanonicalMubSet`` the pairs with the computational basis are the
+    amplitudes, and every other pair is in ``_cross_overlaps``. Any other set
+    is compared basis pair by basis pair.
+    """
     target = 1.0 / np.sqrt(mub_set.dim)
+    if isinstance(mub_set, CanonicalMubSet):
+        d = mub_set.dim
+        moduli = np.abs(np.concatenate([_amplitudes(d), _cross_overlaps(d).ravel()]))
+        return float(np.max(np.abs(moduli - target)))
     worst = 0.0
     for U, V in itertools.combinations(mub_set.bases, 2):
         worst = max(worst, float(np.max(np.abs(np.abs(U.conj().T @ V) - target))))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -735,3 +736,24 @@ def test_cli_file_failures_are_format_errors(tmp_path, capsys, case):
     assert err.count("\n") == 1 and err.startswith("FormatError:")
     assert not list(tmp_path.rglob("out.json"))
 
+
+@pytest.mark.parametrize("command", ["radon", "iradon", "wigner", "quads"])
+def test_cli_failed_csv_leaves_no_output(tmp_path, capsys, command):
+    """The --out file is written first; when the --csv file then cannot be
+    written, the command removes it again."""
+    out = tmp_path / "out.json"
+    argv = _csv_argv(tmp_path, command) + ["--csv", str(tmp_path / "absent" / "x.csv"),
+                                           "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("FormatError:")
+    assert not out.exists()
+
+
+def test_cli_mub_file_bytes_are_pinned(tmp_path):
+    """sha256 of ``mub --dim 7`` as written when every basis matrix was built
+    eagerly; the canonical set builds them on demand to the same bytes."""
+    out = tmp_path / "mub.json"
+    assert main(["mub", "--dim", "7", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "0490019f0a7ba614305c1702b5b3a66284581febfc3e1000d51868465c11cdd0")

@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from mubtomo.errors import IndexOutOfRange, InvariantViolation
 from mubtomo.finite_field import PrimeModulus
 from mubtomo.qudit_mub import (
+    CanonicalMubSet,
     MubBasisSet,
+    _cross_overlaps,
     basis_matrix,
     build_mub_set,
     clock_operator,
@@ -107,6 +111,36 @@ def test_build_mub_set_is_one_array_of_basis_matrices(d):
     stack = np.stack([np.eye(d, dtype=complex)] + [basis_matrix(p, b) for b in range(d)])
     assert isinstance(bases, np.ndarray) and bases.shape == (d + 1, d, d)
     assert np.array_equal(bases.view(float), stack.view(float))
+
+
+def test_canonical_set_builds_its_matrices_on_first_read():
+    ms = build_mub_set(PrimeModulus(7))
+    assert isinstance(ms, CanonicalMubSet) and ms.dim == 7
+    assert repr(ms) == "CanonicalMubSet(dim=7)" and "bases" not in vars(ms)
+    bases = ms.bases
+    assert ms.bases is bases and not bases.flags.writeable
+    with pytest.raises(ValueError):
+        bases[1, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 31])
+def test_cross_overlaps_are_the_dense_overlaps(d):
+    """<b;c|b';c'> depends only on (b' - b, c' - c) mod d."""
+    bases = build_mub_set(PrimeModulus(d)).bases[1:]
+    table = _cross_overlaps(d)
+    c = np.arange(d)
+    for b, bp in itertools.permutations(range(d), 2):
+        expected = table[(bp - b) % d - 1][(c[np.newaxis, :] - c[:, np.newaxis]) % d]
+        assert np.max(np.abs(bases[b].conj().T @ bases[bp] - expected)) <= TOL
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_closed_form_deviation_matches_the_pairwise_loop(d):
+    ms = build_mub_set(PrimeModulus(d))
+    closed = mub_deviation(ms)
+    assert "bases" not in vars(ms)
+    dense = mub_deviation(MubBasisSet(dim=d, bases=ms.bases))
+    assert closed <= TOL and dense <= TOL and abs(closed - dense) <= TOL
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])

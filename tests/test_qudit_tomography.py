@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -5,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubtomo.errors import DimensionMismatch, InvariantViolation, NonHermitianInput
+from mubtomo.errors import DimensionMismatch, InvariantViolation, NonHermitianInput, NotPrime
 from mubtomo.finite_field import PrimeModulus
-from mubtomo.qudit_mub import MubBasisSet, build_mub_set
+from mubtomo.qudit_mub import MubBasisSet, build_mub_set, mub_deviation
 from mubtomo.qudit_tomography import (
     CountTable,
     ProbabilityTable,
     frequencies,
     measure_probabilities,
     project_to_physical,
+    qudit_wigner,
     random_density_matrix,
     reconstruct_density,
     sample_counts,
@@ -361,3 +363,85 @@ def test_shot_noise_error_decreases():
             )
             errs[shots].append(np.sum(np.abs(np.linalg.eigvalsh(est - rho))))
     assert np.median(errs[100_000]) < np.median(errs[100])
+
+
+# ------------------------------------------------ finite-Radon route (canonical set)
+
+PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73,
+          79, 83, 89, 97, 101]
+
+
+@functools.lru_cache(maxsize=None)
+def _dense(d):
+    """The canonical bases as a plain MubBasisSet, which takes the dense route."""
+    return MubBasisSet(dim=d, bases=_set(d).bases)
+
+
+def _random_state(d, rank, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    rho = A @ A.conj().T
+    return rho / np.trace(rho).real
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from(PRIMES), rank=st.sampled_from([1, 2, None]),
+       seed=st.integers(0, 2**32 - 1))
+def test_radon_route_matches_the_dense_route_on_states(d, rank, seed):
+    rho = _random_state(d, rank or d, seed)
+    fast = measure_probabilities(rho, _set(d))
+    dense = measure_probabilities(rho, _dense(d))
+    assert np.max(np.abs(fast.values - dense.values)) <= 1e-12
+    rec = reconstruct_density(fast, _set(d))
+    assert np.max(np.abs(rec - reconstruct_density(fast, _dense(d)))) <= 1e-12
+    assert np.max(np.abs(rec - rho)) <= 1e-12
+    # 2-design identity: sum_kn p_kn^2 = Tr rho^2 + 1
+    assert abs(np.sum(fast.values**2) - np.trace(rho @ rho).real - 1.0) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from(PRIMES), scale=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_radon_inversion_matches_the_dense_one_on_any_table(d, scale, seed):
+    """Nonnegative rows that need not sum to 1: the inversion is still the
+    affine formula, computational row and -I included."""
+    values = scale * np.random.default_rng(seed).random((d + 1, d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = ProbabilityTable(dim=d, values=values)
+    fast = reconstruct_density(table, _set(d))
+    assert np.max(np.abs(fast - reconstruct_density(table, _dense(d)))) <= 1e-12
+
+
+def test_radon_route_at_d_1009_builds_no_basis():
+    """A dense set at this size would hold 16 GB."""
+    d = 1009
+    ms = _set(d)
+    rho = _random_state(d, 3, seed=5)
+    rec = reconstruct_density(measure_probabilities(rho, ms), ms)
+    assert np.max(np.abs(rec - rho)) <= 1e-12
+    assert mub_deviation(ms) <= 1e-12
+    assert "bases" not in vars(ms)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 31])
+def test_wigner_line_sums_are_the_mub_rows(d):
+    rho = random_density_matrix(d, seed=d)
+    W = qudit_wigner(rho)
+    rows = measure_probabilities(rho, _dense(d)).values
+    h = (d + 1) // 2
+    q = np.arange(d)
+    assert abs(W.sum() - 1.0) <= 1e-12
+    assert np.max(np.abs(W.sum(axis=1) - rows[0])) <= 1e-12
+    for b in range(d):
+        for k in range(d):
+            assert abs(W[q, (b * q + k) % d].sum() - rows[1 + b, -(k + b * h) % d]) <= 1e-12
+
+
+def test_wigner_of_the_maximally_mixed_state_is_flat():
+    d = 7
+    assert np.max(np.abs(qudit_wigner(np.eye(d) / d) - 1.0 / d**2)) <= 1e-15
+
+
+def test_wigner_needs_an_odd_prime():
+    with pytest.raises(NotPrime):
+        qudit_wigner(np.eye(9) / 9)
