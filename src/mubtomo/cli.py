@@ -60,12 +60,12 @@ def _finite(text: str) -> float:
 
 
 def _write(*outputs):
-    """Run each (writer, path, value) whose path is given. When one fails,
-    remove the files the earlier ones wrote, so a failed command leaves no
-    output behind."""
+    """Run each (writer, path, value) whose path is not None; an empty path
+    is given, and fails to open. When one fails, remove the files the
+    earlier ones wrote, so a failed command leaves no output behind."""
     with contextlib.ExitStack() as undo:
         for writer, path, value in outputs:
-            if path:
+            if path is not None:
                 writer(path, value)
                 undo.callback(os.remove, path)
         undo.pop_all()

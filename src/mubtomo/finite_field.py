@@ -2,7 +2,8 @@
 
 Pure integer functions, all exact. ``qudit_mub`` reduces its own exponents;
 ``weyl_decompose`` is the operator grouping acceptance criterion C03 checks,
-and the grouping the finite-Radon route of ``qudit_tomography`` vectorises.
+and the grouping that the canonical set's finite-Radon transform pair in
+``qudit_mub`` vectorises, for measurement and inversion alike.
 """
 
 from __future__ import annotations
@@ -87,11 +88,11 @@ def weyl_decompose(idx: WeylIndex, modulus: PrimeModulus) -> WeylDecomposition:
 
     So the Weyl operators on the line l = b m through the origin are powers
     of X Z^b, diagonal in basis b: the DFT over c of MUB row 1+b holds the
-    expectations of (X Z^b)^-m. ``qudit_tomography.reconstruct_density``
-    applies this grouping to all d^2 - 1 pairs (m, l) at once instead of
-    calling this function for each: for each power m of X, its inverse FFT
-    over b runs over l = b m, and the chirp omega^(b m(m-1)/2) in its
-    formula is omega^-nu.
+    expectations of (X Z^b)^-m. The canonical set's transform pair in
+    ``qudit_mub`` applies this grouping to all d^2 - 1 pairs (m, l) at once,
+    in both directions, instead of calling this function for each: for each
+    power m of X, its FFT over b runs over l = b m, and the chirp
+    omega^(b m(m-1)/2) in its lattice is omega^-nu.
     """
     m, l = idx
     d = modulus.d

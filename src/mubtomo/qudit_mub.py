@@ -93,8 +93,9 @@ class MubBasisSet:
     ``bases[0]`` is the identity (computational basis); ``bases[1 + b]``
     diagonalises X Z^b. Cross-basis overlaps all have modulus 1/sqrt(d);
     ``mub_deviation`` measures how far a given set strays from that. Sets
-    read from a file or built by hand are this type and take the dense
-    routes; ``build_mub_set`` returns the structured ``CanonicalMubSet``.
+    read from a file or built by hand are this type. Their Born map and
+    inversion, which ``qudit_tomography`` calls, are the dense products:
+    the oracle for ``CanonicalMubSet``, which ``build_mub_set`` returns.
     """
 
     dim: int
@@ -110,15 +111,35 @@ class MubBasisSet:
             if np.max(np.abs(U.conj().T @ U - eye)) > ROUNDING_TOL:
                 raise InvariantViolation(f"basis {k} is not unitary within {ROUNDING_TOL}")
 
+    def _born_rows(self, rho: np.ndarray) -> np.ndarray:
+        """(d+1, d) probabilities <k;n|rho|k;n>, one O(d^3) product per basis."""
+        return np.array([np.real(np.sum(np.conj(U) * (rho @ U), axis=0)) for U in self.bases])
+
+    def _invert(self, values: np.ndarray) -> np.ndarray:
+        """The affine inversion rho = sum_k U_k diag(p_k) U_k^dagger - I."""
+        rho = -np.eye(self.dim, dtype=complex)
+        for row, U in zip(values, self.bases):
+            rho += (U * row[np.newaxis, :]) @ U.conj().T
+        return rho
+
+
+def _lattice(d: int):
+    """The two index pairs of the canonical transform pair: the wrapped
+    diagonal R[k, m] = rho[m + k, m] is ``rho[diagonal]``, and its place in
+    the spectrum is ``spectrum[line]``, row j = k(k-1)/2 + m k of column k."""
+    k, m = np.ogrid[:d, :d]
+    return ((m + k) % d, m), ((k * (k - 1) // 2 + m * k) % d, k)
+
 
 class CanonicalMubSet(MubBasisSet):
     """The bases |b;c> of the module docstring for an odd prime d, held as d alone.
 
     ``bases`` is built on first read, with the bytes and the read-only flag
     that ``MubBasisSet`` would hold, and kept. ``mub_deviation``,
-    ``qudit_tomography.measure_probabilities`` and
-    ``qudit_tomography.reconstruct_density`` recognise this type and never
-    read it.
+    ``_born_rows`` and ``_invert`` never read it: the last two are the
+    finite Radon transform pair of the ``qudit_tomography`` module
+    docstring, O(d^2 log d), and the dense products of ``MubBasisSet`` are
+    their oracle.
     """
 
     def __init__(self, modulus: PrimeModulus):
@@ -136,6 +157,29 @@ class CanonicalMubSet(MubBasisSet):
             bases[1 + b] = _mub_amplitudes(d, b, np.arange(d))
         bases.setflags(write=False)
         return bases
+
+    def _born_rows(self, rho: np.ndarray) -> np.ndarray:
+        """Scatter R onto the lattice, FFT over j, inverse FFT over k."""
+        d = self.dim
+        diagonal, line = _lattice(d)
+        spectrum = np.zeros((d, d), dtype=complex)
+        spectrum[line] = rho[diagonal]
+        spectrum[0, 0] = np.trace(rho)  # every m of the k = 0 column lands on j = 0
+        rows = np.fft.ifft(np.fft.fft(spectrum, axis=0), axis=1).real
+        return np.vstack([np.diag(rho).real, rows])
+
+    def _invert(self, values: np.ndarray) -> np.ndarray:
+        """FFT over c, inverse FFT over b, gather from the lattice; the
+        affine inversion of ``MubBasisSet`` on any table."""
+        d = self.dim
+        diagonal, line = _lattice(d)
+        diagonals = np.fft.ifft(np.fft.fft(values[1:], axis=1), axis=0)[line]
+        # k = 0 from plain sums: the DC term of the FFTs is about 1 and would
+        # carry its rounding into every diagonal entry
+        diagonals[0] = values[0] + (values[1:].sum(axis=1).mean() - 1.0)
+        rho = np.empty((d, d), dtype=complex)
+        rho[diagonal] = diagonals
+        return rho
 
 
 def build_mub_set(modulus: PrimeModulus) -> CanonicalMubSet:

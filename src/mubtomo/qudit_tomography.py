@@ -12,23 +12,20 @@ frequency tables go through the same formula and may come out unphysical;
 
 For the canonical set of ``qudit_mub.build_mub_set`` both directions are a
 finite Radon transform on Z_d x Z_d (Wootters 1987), the discrete twin of
-``cv_wigner.reconstruct_density_continuous``. Row 1+b holds the sums of
-the discrete Wigner function W (``qudit_wigner``) along the d parallel
-lines of slope b, and row 0 those along p. ``measure_probabilities``
-takes them by the finite Fourier-slice theorem: the DFT of the slope-b
-sums is fft2(W) on the line (-b j, j) through the origin.
-``reconstruct_density`` undoes the line sums and W in one pass. With
-R[k, m] = rho[m + k, m] the wrapped subdiagonals of rho,
+``cv_wigner.reconstruct_density_continuous``. With R[k, m] = rho[m + k, m]
+the wrapped subdiagonals of rho and the lattice j = k(k-1)/2 + m k,
 
-    R[k, m] = (1/d) sum_b omega^(b (k(k-1)/2 + m k)) sum_c p_{1+b}(c) omega^(-c k)
-              + [k = 0] (p_0(m) - 1)
+    p_{1+b}(c) = (1/d) sum_k omega^(c k) sum_m omega^(-b j) R[k, m]
+    R[k, m]    = (1/d) sum_b omega^(b j) sum_c omega^(-c k) p_{1+b}(c)
+                 + [k = 0] (p_0(m) - 1)
 
-that is one FFT of each row over c, one inverse FFT over b and a gather.
-Both directions cost O(d^2 log d) instead of the O(d^4) of the matrix
-products, and no basis matrix is built. The inversion equals the affine
-formula above on any table, also one whose rows do not sum to 1. A set of
-arbitrary matrices (read from a file, or built by hand) takes the dense
-products.
+and p_0 = diag rho: one FFT pair and one scatter or gather on the lattice
+each way, O(d^2 log d) against the O(d^4) of the matrix products. The
+inversion equals the affine formula on any table, also one whose rows do
+not sum to 1. Each set carries its pair as ``_born_rows`` and ``_invert``,
+so a set of arbitrary matrices (read from a file, or built by hand) takes
+the dense products. ``qudit_wigner`` is an independent route to the rows:
+row 1+b sums W along the lines of slope b.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from ._frozen import finite_array, freeze_fields
 from .errors import (EIGENVALUE_FLOOR, ROUNDING_TOL, ROW_SUM_TOL, DimensionMismatch,
                      InvariantViolation, NonHermitianInput)
 from .finite_field import assert_odd_prime
-from .qudit_mub import CanonicalMubSet, MubBasisSet
+from .qudit_mub import MubBasisSet
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -126,48 +123,7 @@ def measure_probabilities(rho: np.ndarray, mub_set: MubBasisSet) -> ProbabilityT
         raise DimensionMismatch(
             f"state dimension {rho.shape[0]} != basis dimension {mub_set.dim}"
         )
-    if isinstance(mub_set, CanonicalMubSet):
-        rows = _radon_rows(rho)
-    else:
-        rows = [np.real(np.sum(np.conj(U) * (rho @ U), axis=0)) for U in mub_set.bases]
-    return ProbabilityTable(dim=mub_set.dim, values=np.array(rows))
-
-
-def _wigner(rho: np.ndarray) -> np.ndarray:
-    """``qudit_wigner`` of a checked state of odd dimension."""
-    d = rho.shape[0]
-    h = (d + 1) // 2  # the inverse of 2 mod d
-    q, y = np.ogrid[:d, :d]
-    return np.fft.fft(rho[(q + y * h) % d, (q - y * h) % d], axis=1).real / d
-
-
-def _radon_rows(rho: np.ndarray) -> np.ndarray:
-    """Born rows of the canonical set as the line sums of W (module docstring)."""
-    W = _wigner(rho)
-    d = W.shape[0]
-    h = (d + 1) // 2
-    j = np.arange(d)
-    b = j[:, np.newaxis]
-    sums = np.fft.ifft(np.fft.fft2(W)[(-b * j) % d, j], axis=1).real  # [b, k]: p = b q + k
-    rows = np.empty((d + 1, d))
-    rows[0] = W.sum(axis=1)
-    rows[1:] = sums[b, (-j - b * h) % d]  # c = -(k + b h)
-    return rows
-
-
-def _radon_inverse(values: np.ndarray) -> np.ndarray:
-    """The affine inversion for the canonical set, by the formula for
-    R[k, m] in the module docstring."""
-    d = values.shape[1]
-    k, m = np.ogrid[:d, :d]
-    spectrum = np.fft.ifft(np.fft.fft(values[1:], axis=1), axis=0)  # [j, k]
-    diagonals = spectrum[(k * (k - 1) // 2 + m * k) % d, k]          # [k, m]
-    # k = 0 from plain sums: the DC term of the FFTs is about 1 and would
-    # carry its rounding into every diagonal entry
-    diagonals[0] = values[0] + (values[1:].sum(axis=1).mean() - 1.0)
-    rho = np.empty((d, d), dtype=complex)
-    rho[(m + k) % d, m] = diagonals
-    return rho
+    return ProbabilityTable(dim=mub_set.dim, values=mub_set._born_rows(rho))
 
 
 def qudit_wigner(rho: np.ndarray) -> np.ndarray:
@@ -178,11 +134,13 @@ def qudit_wigner(rho: np.ndarray) -> np.ndarray:
 
     W is real and sums to 1. Its line sums are the MUB rows of the canonical
     set: row 0 is sum_p W[q, p], and row 1+b at c = -(k + b h) mod d is
-    sum_q W[q, b q + k]. ``measure_probabilities`` computes them so.
+    sum_q W[q, b q + k]; a view of the state and a cross-check of both routes.
     """
     rho = validate_density_matrix(rho)
-    assert_odd_prime(rho.shape[0])
-    return _wigner(rho)
+    d = assert_odd_prime(rho.shape[0]).d
+    q, y = np.ogrid[:d, :d]
+    h = (d + 1) // 2  # the inverse of 2 mod d
+    return np.fft.fft(rho[(q + y * h) % d, (q - y * h) % d], axis=1).real / d
 
 
 def sample_counts(table: ProbabilityTable, shots: int, seed: int) -> CountTable:
@@ -243,12 +201,7 @@ def reconstruct_density(table: ProbabilityTable, mub_set: MubBasisSet) -> np.nda
         raise DimensionMismatch(
             f"table dimension {table.dim} != basis dimension {mub_set.dim}"
         )
-    if isinstance(mub_set, CanonicalMubSet):
-        return _radon_inverse(table.values)
-    rho = -np.eye(table.dim, dtype=complex)
-    for row, U in zip(table.values, mub_set.bases):
-        rho += (U * row[np.newaxis, :]) @ U.conj().T
-    return rho
+    return mub_set._invert(table.values)
 
 
 def _project_to_simplex(v: np.ndarray) -> np.ndarray:

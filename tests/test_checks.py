@@ -7,7 +7,8 @@ Every count flag of the CLI is parsed with its lower bound, and every
 float flag as a finite number, so a negative size or an infinite extent is
 a usage error rather than a failure inside numpy. Every frozen dataclass
 stores its arrays through ``freeze_fields`` before it checks them, so no
-check sees a NaN.
+check sees a NaN. Only ``qudit_mub`` names ``CanonicalMubSet``: each set
+carries its own Born map and inversion, so no caller picks a route by type.
 """
 
 import ast
@@ -88,3 +89,14 @@ def test_post_init_freezes_fields_first():
     hits = [f"{name}:{node.lineno}" for name, node in inits
             if not ast.unparse(node.body[0]).startswith("freeze_fields(")]
     assert inits and not hits, hits
+
+
+def test_only_qudit_mub_names_the_canonical_set():
+    hits = [
+        f"{name}:{node.lineno} {ast.unparse(node)}"
+        for name, tree in _trees() if name != "qudit_mub.py"
+        for node in ast.walk(tree)
+        if "CanonicalMubSet" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                 getattr(node, "name", None))
+    ]
+    assert not hits, hits

@@ -750,6 +750,18 @@ def test_cli_failed_csv_leaves_no_output(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+@pytest.mark.parametrize("command", ["radon", "iradon", "wigner", "quads"])
+def test_cli_empty_output_path_is_a_format_error(tmp_path, capsys, command, flag):
+    """An empty path is a path that cannot be opened, not an absent flag."""
+    argv = _csv_argv(tmp_path, command)
+    argv += ["--out", ""] if flag == "--out" else ["--csv", "", "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("FormatError:")
+    assert [path.name for path in tmp_path.iterdir()] == ["in.json"]
+
+
 def test_cli_mub_file_bytes_are_pinned(tmp_path):
     """sha256 of ``mub --dim 7`` as written when every basis matrix was built
     eagerly; the canonical set builds them on demand to the same bytes."""
@@ -757,3 +769,15 @@ def test_cli_mub_file_bytes_are_pinned(tmp_path):
     assert main(["mub", "--dim", "7", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "0490019f0a7ba614305c1702b5b3a66284581febfc3e1000d51868465c11cdd0")
+
+
+def test_cli_counts_file_bytes_are_pinned(tmp_path):
+    """sha256 of ``simulate --shots`` as written when the Born rows were the
+    line sums of W; the lattice route moves the probabilities in their last
+    bits only, and no draw of this stream lands that close to a cut."""
+    state, out = tmp_path / "rho.json", tmp_path / "counts.json"
+    iof.write_qudit_density(state, random_density_matrix(31, seed=5))
+    assert main(["simulate", "--dim", "31", "--state", str(state), "--shots", "100000",
+                 "--seed", "5", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "9d007751f4a9ff8e882cdb50c95ed40c2dc9e7132a54e191917d31cf80e7b559")

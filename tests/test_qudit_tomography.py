@@ -423,18 +423,21 @@ def test_radon_route_at_d_1009_builds_no_basis():
     assert "bases" not in vars(ms)
 
 
-@pytest.mark.parametrize("d", [3, 5, 7, 31])
+@pytest.mark.parametrize("d", [3, 5, 7, 31, 101])
 def test_wigner_line_sums_are_the_mub_rows(d):
+    """W shares no code with the canonical route or the dense one, so its
+    line sums check both."""
     rho = random_density_matrix(d, seed=d)
     W = qudit_wigner(rho)
-    rows = measure_probabilities(rho, _dense(d)).values
     h = (d + 1) // 2
     q = np.arange(d)
+    b, k = np.ogrid[:d, :d]
+    lines = W[q, (b[..., np.newaxis] * q + k[..., np.newaxis]) % d].sum(axis=-1)  # p = b q + k
     assert abs(W.sum() - 1.0) <= 1e-12
-    assert np.max(np.abs(W.sum(axis=1) - rows[0])) <= 1e-12
-    for b in range(d):
-        for k in range(d):
-            assert abs(W[q, (b * q + k) % d].sum() - rows[1 + b, -(k + b * h) % d]) <= 1e-12
+    for mub_set in (_set(d), _dense(d)):
+        rows = measure_probabilities(rho, mub_set).values
+        assert np.max(np.abs(W.sum(axis=1) - rows[0])) <= 1e-12
+        assert np.max(np.abs(lines - rows[1 + b, -(k + b * h) % d])) <= 1e-12
 
 
 def test_wigner_of_the_maximally_mixed_state_is_flat():
