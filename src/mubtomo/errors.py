@@ -23,7 +23,9 @@ ROUNDING_TOL = 1e-12
 # Narrowest cell footprint of the forward Radon projector, in units of ds;
 # keeps the footprint CDF finite at theta = 0 and pi/2, where one side is 0.
 FOOTPRINT_FLOOR = 1e-12
-# Most negative eigenvalue a qudit density matrix may have.
+# Most negative eigenvalue a qudit density matrix may have; checked as the
+# existence of a Cholesky factor of rho - EIGENVALUE_FLOOR * I, which rounding
+# decides only within about d * eps of the floor.
 EIGENVALUE_FLOOR = -1e-10
 # Unit-sum deviation of a probability row above which ProbabilityTable warns;
 # finite-shot frequency tables pass with the warning.

@@ -29,12 +29,13 @@ def _pairs(arr: np.ndarray) -> list:
 
 @contextmanager
 def _opened(path, mode: str):
-    """``path`` as UTF-8 text; any OS failure on it is a FormatError naming it."""
+    """``path`` as UTF-8 text; any OS failure on it is a FormatError naming
+    it, an empty path as ``''``."""
     try:
         with open(path, mode, encoding="utf-8") as fh:
             yield fh
     except OSError as exc:
-        raise FormatError(f"{path}: {exc.strerror or exc}") from exc
+        raise FormatError(f"{path or repr(path)}: {exc.strerror or exc}") from exc
 
 
 def _dump(path, kind: str, data, extra: dict | None = None, **header):

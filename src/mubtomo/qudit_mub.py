@@ -124,10 +124,12 @@ class MubBasisSet:
 
 
 def _lattice(d: int):
-    """The two index pairs of the canonical transform pair: the wrapped
-    diagonal R[k, m] = rho[m + k, m] is ``rho[diagonal]``, and its place in
-    the spectrum is ``spectrum[line]``, row j = k(k-1)/2 + m k of column k."""
-    k, m = np.ogrid[:d, :d]
+    """The two index pairs of the canonical transform pair, on the Hermitian
+    half k = 0 .. (d-1)/2 of the wrapped diagonals: R[k, m] = rho[m + k, m]
+    is ``rho[diagonal]``, and its place in the spectrum is ``spectrum[line]``,
+    row j = k(k-1)/2 + m k of column k. Diagonal d - k is the conjugate
+    transpose of diagonal k, so the other half needs no table."""
+    k, m = np.ogrid[:(d + 1) // 2, :d]
     return ((m + k) % d, m), ((k * (k - 1) // 2 + m * k) % d, k)
 
 
@@ -138,8 +140,8 @@ class CanonicalMubSet(MubBasisSet):
     that ``MubBasisSet`` would hold, and kept. ``mub_deviation``,
     ``_born_rows`` and ``_invert`` never read it: the last two are the
     finite Radon transform pair of the ``qudit_tomography`` module
-    docstring, O(d^2 log d), and the dense products of ``MubBasisSet`` are
-    their oracle.
+    docstring, O(d^2 log d), run on the Hermitian half k <= (d-1)/2 of the
+    lattice, and the dense products of ``MubBasisSet`` are their oracle.
     """
 
     def __init__(self, modulus: PrimeModulus):
@@ -159,25 +161,33 @@ class CanonicalMubSet(MubBasisSet):
         return bases
 
     def _born_rows(self, rho: np.ndarray) -> np.ndarray:
-        """Scatter R onto the lattice, FFT over j, inverse FFT over k."""
-        d = self.dim
+        """Scatter the Hermitian half of R onto the lattice, FFT over j,
+        complete the conjugate columns d - k, inverse FFT over k."""
+        d, h = self.dim, (self.dim + 1) // 2
         diagonal, line = _lattice(d)
-        spectrum = np.zeros((d, d), dtype=complex)
-        spectrum[line] = rho[diagonal]
-        spectrum[0, 0] = np.trace(rho)  # every m of the k = 0 column lands on j = 0
-        rows = np.fft.ifft(np.fft.fft(spectrum, axis=0), axis=1).real
+        half = np.zeros((d, h), dtype=complex)
+        # the Hermitian part, as the dense Born map reads it
+        half[line] = 0.5 * (rho[diagonal] + rho[diagonal[::-1]].conj())
+        half[0, 0] = np.trace(rho).real  # every m of the k = 0 column lands on j = 0
+        spectrum = np.empty((d, d), dtype=complex)
+        spectrum[:, :h] = np.fft.fft(half, axis=0)
+        spectrum[:, h:] = spectrum[:, h - 1:0:-1].conj()  # column d - k
+        rows = np.fft.ifft(spectrum, axis=1).real
         return np.vstack([np.diag(rho).real, rows])
 
     def _invert(self, values: np.ndarray) -> np.ndarray:
-        """FFT over c, inverse FFT over b, gather from the lattice; the
-        affine inversion of ``MubBasisSet`` on any table."""
-        d = self.dim
+        """FFT over c, inverse FFT over b on the half k < (d+1)/2, gather from
+        the lattice, and place each diagonal and its conjugate transpose; the
+        affine inversion of ``MubBasisSet`` on any table, exactly Hermitian."""
+        d, h = self.dim, (self.dim + 1) // 2
         diagonal, line = _lattice(d)
-        diagonals = np.fft.ifft(np.fft.fft(values[1:], axis=1), axis=0)[line]
+        spectrum = np.fft.fft(values[1:], axis=1)[:, :h]
+        diagonals = np.fft.ifft(spectrum, axis=0)[line]
         # k = 0 from plain sums: the DC term of the FFTs is about 1 and would
         # carry its rounding into every diagonal entry
         diagonals[0] = values[0] + (values[1:].sum(axis=1).mean() - 1.0)
         rho = np.empty((d, d), dtype=complex)
+        rho[diagonal[::-1]] = diagonals.conj()  # diagonal d - k; k = 0 is rewritten next
         rho[diagonal] = diagonals
         return rho
 

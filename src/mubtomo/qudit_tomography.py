@@ -20,9 +20,13 @@ the wrapped subdiagonals of rho and the lattice j = k(k-1)/2 + m k,
                  + [k = 0] (p_0(m) - 1)
 
 and p_0 = diag rho: one FFT pair and one scatter or gather on the lattice
-each way, O(d^2 log d) against the O(d^4) of the matrix products. The
-inversion equals the affine formula on any table, also one whose rows do
-not sum to 1. Each set carries its pair as ``_born_rows`` and ``_invert``,
+each way, O(d^2 log d) against the O(d^4) of the matrix products. For a
+Hermitian rho, R[d - k, m] = conj R[k, m - k], so column d - k of the
+spectrum is the conjugate of column k: both directions transform and move
+only k = 0 .. (d-1)/2, and the measurement reads the Hermitian part of rho
+there, as the dense Born map does. The inversion equals the affine formula
+on any table, also one whose rows do not sum to 1, and is exactly
+Hermitian. Each set carries its pair as ``_born_rows`` and ``_invert``,
 so a set of arbitrary matrices (read from a file, or built by hand) takes
 the dense products. ``qudit_wigner`` is an independent route to the rows:
 row 1+b sums W along the lines of slope b.
@@ -43,7 +47,13 @@ from .qudit_mub import MubBasisSet
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Check finiteness, Hermiticity, unit trace and positivity; return a complex copy."""
+    """Check finiteness, Hermiticity, unit trace and positivity; return a complex copy.
+
+    Positivity is the least eigenvalue at least ``EIGENVALUE_FLOOR``, read
+    as whether rho - EIGENVALUE_FLOOR * I has a Cholesky factor: O(d^3 / 3)
+    and no eigensolver. The two agree except within about d * eps of the
+    floor, where rounding decides either way.
+    """
     rho = finite_array(rho, complex, "density matrix")
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionMismatch(f"density matrix must be square, got shape {rho.shape}")
@@ -51,8 +61,10 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
         raise NonHermitianInput(f"density matrix not Hermitian within {ROUNDING_TOL}")
     if abs(np.trace(rho).real - 1.0) > ROUNDING_TOL or abs(np.trace(rho).imag) > ROUNDING_TOL:
         raise InvariantViolation(f"trace is {np.trace(rho)}, expected 1")
-    if np.min(np.linalg.eigvalsh(rho)) < EIGENVALUE_FLOOR:
-        raise InvariantViolation("density matrix has a negative eigenvalue")
+    try:
+        np.linalg.cholesky(rho - EIGENVALUE_FLOOR * np.eye(rho.shape[0]))
+    except np.linalg.LinAlgError:
+        raise InvariantViolation("density matrix has a negative eigenvalue") from None
     return rho
 
 
@@ -193,9 +205,9 @@ def reconstruct_density(table: ProbabilityTable, mub_set: MubBasisSet) -> np.nda
     """Invert a probability table to a density matrix.
 
     Returns the raw affine combination; it is Hermitian by construction
-    and has unit trace whenever every row sums to 1, but finite-shot input
-    can make it non-positive. Physicality repair is deliberately a
-    separate step (``project_to_physical``).
+    (exactly, for the canonical set) and has unit trace whenever every row
+    sums to 1, but finite-shot input can make it non-positive. Physicality
+    repair is deliberately a separate step (``project_to_physical``).
     """
     if table.dim != mub_set.dim:
         raise DimensionMismatch(

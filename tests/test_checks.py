@@ -9,6 +9,9 @@ a usage error rather than a failure inside numpy. Every frozen dataclass
 stores its arrays through ``freeze_fields`` before it checks them, so no
 check sees a NaN. Only ``qudit_mub`` names ``CanonicalMubSet``: each set
 carries its own Born map and inversion, so no caller picks a route by type.
+No module calls ``eigvalsh``: positivity is a yes/no question, answered by
+a Cholesky factorization; ``project_to_physical`` needs the eigenvectors
+and keeps ``eigh``.
 """
 
 import ast
@@ -100,3 +103,13 @@ def test_only_qudit_mub_names_the_canonical_set():
                                  getattr(node, "name", None))
     ]
     assert not hits, hits
+
+
+def test_positivity_is_checked_by_factorization():
+    hits = [
+        f"{name}:{node.lineno} {ast.unparse(node)}"
+        for name, tree in _trees() for node in ast.walk(tree)
+        if "eigvalsh" in (getattr(node, "id", None), getattr(node, "attr", None),
+                          getattr(node, "name", None))
+    ]
+    assert MODULES and not hits, hits

@@ -758,7 +758,7 @@ def test_cli_empty_output_path_is_a_format_error(tmp_path, capsys, command, flag
     argv += ["--out", ""] if flag == "--out" else ["--csv", "", "--out", str(tmp_path / "out.json")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("FormatError:")
+    assert err == "FormatError: '': No such file or directory\n"
     assert [path.name for path in tmp_path.iterdir()] == ["in.json"]
 
 

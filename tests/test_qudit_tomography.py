@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mubtomo.errors import DimensionMismatch, InvariantViolation, NonHermitianInput, NotPrime
+from mubtomo.errors import (EIGENVALUE_FLOOR, ROUNDING_TOL, DimensionMismatch, InvariantViolation,
+                            NonHermitianInput, NotPrime)
 from mubtomo.finite_field import PrimeModulus
 from mubtomo.qudit_mub import MubBasisSet, build_mub_set, mub_deviation
 from mubtomo.qudit_tomography import (
@@ -75,6 +76,42 @@ def test_state_validation_rejects_nan_in_the_upper_triangle():
     rho[0, 1] = np.nan
     with pytest.raises(InvariantViolation, match="non-finite"):
         validate_density_matrix(rho)
+
+
+def _planted(d, lam, seed):
+    """A state whose least eigenvalue is lam; the others are at least 1/(2d)."""
+    rng = np.random.default_rng(seed)
+    V, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    rest = (1.0 - lam) * (0.5 / (d - 1) + 0.5 * rng.dirichlet(np.ones(d - 1)))
+    rho = (V * np.concatenate([[lam], rest])) @ V.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 101]),
+       lam=st.floats(-1e-9, 1e-9), seed=st.integers(0, 2**32 - 1))
+@example(d=101, lam=EIGENVALUE_FLOOR - 2e-13, seed=1)
+@example(d=101, lam=EIGENVALUE_FLOOR + 2e-13, seed=1)
+def test_positivity_check_agrees_with_the_spectrum(d, lam, seed):
+    """The Cholesky factor exists exactly when the least eigenvalue is at
+    least the floor, outside a band of about d * eps around it."""
+    assume(abs(lam - EIGENVALUE_FLOOR) > 1e-13)
+    rho = _planted(d, lam, seed)
+    assert (np.min(np.linalg.eigvalsh(rho)) < EIGENVALUE_FLOOR) == (lam < EIGENVALUE_FLOOR)
+    if lam < EIGENVALUE_FLOOR:
+        with pytest.raises(InvariantViolation, match="negative eigenvalue"):
+            validate_density_matrix(rho)
+    else:
+        validate_density_matrix(rho)
+
+
+@pytest.mark.parametrize("d", [101, 1009])
+def test_pure_states_pass_the_positivity_check(d):
+    """Rank 1: every eigenvalue but one is zero up to rounding."""
+    rng = np.random.default_rng(d)
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    psi /= np.linalg.norm(psi)
+    validate_density_matrix(np.outer(psi, psi.conj()))
 
 
 @pytest.mark.parametrize("make", [lambda: ProbabilityTable(0, np.zeros((1, 0))),
@@ -410,6 +447,23 @@ def test_radon_inversion_matches_the_dense_one_on_any_table(d, scale, seed):
         table = ProbabilityTable(dim=d, values=values)
     fast = reconstruct_density(table, _set(d))
     assert np.max(np.abs(fast - reconstruct_density(table, _dense(d)))) <= 1e-12
+    assert np.array_equal(fast, fast.conj().T)
+
+
+@pytest.mark.parametrize("d", [3, 5, 31, 101])
+def test_radon_route_reads_the_hermitian_part(d):
+    """The dense Born map reads the Hermitian part of a state that passes
+    validation with an anti-Hermitian error; so must the half-lattice route,
+    which sees only the diagonals k <= (d-1)/2 of rho and their transposes."""
+    rng = np.random.default_rng(d)
+    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    error = A - A.conj().T
+    np.fill_diagonal(error, 0.0)
+    rho = random_density_matrix(d, seed=d) + 0.45 * ROUNDING_TOL * error / np.max(np.abs(error))
+    fast = measure_probabilities(rho, _set(d))
+    assert np.max(np.abs(fast.values - measure_probabilities(rho, _dense(d)).values)) <= 1e-15
+    rec = reconstruct_density(fast, _set(d))
+    assert np.array_equal(rec, rec.conj().T)
 
 
 def test_radon_route_at_d_1009_builds_no_basis():
