@@ -293,9 +293,11 @@ def inverse_radon(
     half turn, ``n_theta * dtheta = pi``; other angle sets raise
     ``InsufficientAngles``. Default extents are the square inscribed in
     the projection circle, |x|, |p| <= s_max / sqrt(2); pass the original
-    grid extents to compare round trips. ``window``
-    ("hann") apodizes the ramp for noisy rows; the default is the plain
-    band-limited ramp.
+    grid extents to compare round trips. The rows cover only the disk
+    x^2 + p^2 <= min(|s_min|, |s_max|)^2: outside it a point sums rows cut
+    to zero past the s axis, and its value is biased; no error is raised.
+    ``window`` ("hann") apodizes the ramp for noisy rows; the default is
+    the plain band-limited ramp.
 
     Of quadrature distributions this is the Wigner function
     (``cv_wigner.reconstruct_wigner``). Negative values are genuine and

@@ -162,7 +162,7 @@ def _cmd_wigner(args):
     rho = _load_cv_state(args.state, n=args.grid, xmax=args.xmax)
     W = wigner_from_density(
         rho,
-        n_p=args.np if args.np is not None else args.grid,
+        n_p=args.np,
         p_max=args.pmax if args.pmax is not None else args.xmax,
     )
     _write((iof.write_grid, args.out, W), (iof.write_grid_csv, args.csv, W))

@@ -59,6 +59,7 @@ from .errors import (
     MassOutsideAxis,
     MomentumOutsideGrid,
     NonHermitianInput,
+    OutsideProjectionDisk,
 )
 
 # Angles per batched chirp-z: small enough that the per-chunk buffers stay
@@ -264,22 +265,12 @@ def _momentum_reach(rho: PositionDensityMatrix) -> float:
     return float(np.abs(p[order[np.count_nonzero(beyond <= MASS_TOL)]]))
 
 
-def _check_alias(dx: float, s_eff: float, axis_max: float):
-    limit = np.pi * abs(s_eff) / axis_max
-    if dx > limit * (1 + ROUNDING_TOL):
-        raise AliasedGrid(
-            f"dx = {dx:.4g} exceeds pi |sin| / x_max = {limit:.4g}; "
-            f"refine the x grid to resolve the kernel phase"
-        )
-
-
 def _skew(values: np.ndarray) -> np.ndarray:
-    """R[m, j] = values[j + m, j]: row m holds the m-th subdiagonal, zero-padded."""
+    """R[m, j] = values[j + m, j]: row m holds the m-th subdiagonal, zero-padded,
+    read at the flat index (j + m) n + j, clipped and zeroed past the last row."""
     n = values.shape[0]
-    R = np.zeros((n, n), dtype=complex)
-    for m in range(n):
-        R[m, : n - m] = np.diagonal(values, offset=-m)
-    return R
+    m, j = np.ogrid[:n, :n]
+    return np.where(j + m < n, values.take(m * n + j * (n + 1), mode="clip"), 0.0)
 
 
 def _chirp_z_rows(R: np.ndarray, x: np.ndarray, thetas: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -344,12 +335,15 @@ def _quadrature_rows(
     axis_max = max(abs(rho.x_min), abs(rho.x_max))
     cells = (s - rho.x_min) / rho.dx
     exact = (thetas < SIN_EPS) & (np.max(np.abs(cells - np.rint(cells))) <= SPACING_TOL)
-    position = np.abs(np.sin(thetas)) >= np.abs(np.cos(thetas))
+    sin, cos = np.abs(np.sin(thetas)), np.abs(np.cos(thetas))
+    position = sin >= cos
     momentum = ~exact & ~position
-    for th in thetas[position]:
-        _check_alias(rho.dx, np.sin(th), axis_max)
-    for th in thetas[momentum]:
-        _check_alias(rho.dx, np.cos(th), axis_max)
+    # the kernel phase needs dx <= pi |sin| / x_max at every effective angle
+    least = np.min(np.where(position, sin, cos), where=~exact, initial=np.inf)
+    limit = np.pi * least / axis_max
+    if rho.dx > limit * (1 + ROUNDING_TOL):
+        raise AliasedGrid(f"dx = {rho.dx:.4g} exceeds pi |sin| / x_max = {limit:.4g} at the "
+                          f"least effective |sin| = {least:.4g}; refine the x grid")
 
     rows = np.empty((thetas.size, s.size))
     rows[exact] = np.interp(s, x, np.real(np.diagonal(rho.values)), left=0.0, right=0.0)
@@ -420,7 +414,10 @@ def reconstruct_density_continuous(
     midpoint (u+v)/2 is a lattice point, then the p integral is one
     matrix product. The direct principal-value double integral is
     mathematically equivalent but numerically hostile, so it is never
-    evaluated pointwise.
+    evaluated pointwise. The p integral runs over the disk
+    x^2 + p^2 <= reach^2 that the rows cover, reach = min(|s_min|, |s_max|),
+    with W zero outside it; an ``x_max`` at or beyond reach leaves rows
+    with no point in the disk and raises OutsideProjectionDisk.
 
     Returns ``(rho, raw_trace)`` where raw_trace is the trace integral
     before the final renormalization; it should sit near 1 for
@@ -433,14 +430,19 @@ def reconstruct_density_continuous(
     n_x = (quads.n_s + 1) // 2 if n_x is None else int(n_x)
     if n_x < 2:
         raise InvariantViolation("n_x must be at least 2")
+    if x_max >= reach:
+        raise OutsideProjectionDisk(f"x_max = {x_max:.6g} is not inside the projection disk of "
+                                    f"radius {reach:.6g}; rows at |x| >= {reach:.6g} hold no "
+                                    "valid p")
 
     # called as inverse_radon, the name perfbench's tracer rebinds
     W = inverse_radon(quads, 2 * n_x - 1, x_min=-x_max, x_max=x_max, p_min=-reach, p_max=reach)
     du = 2 * x_max / (n_x - 1)
     offsets = np.arange(-(n_x - 1), n_x) * du  # v - u on the coarse grid
     E = np.exp(-1j * np.outer(W.p, offsets)) * W.dp
-    G = W.values @ E  # G[m, q] = Integral dp e^{-i p y_q} W(fine_m, p)
-    ii, jj = np.meshgrid(np.arange(n_x), np.arange(n_x), indexing="ij")
+    inside = W.x[:, np.newaxis] ** 2 + W.p[np.newaxis, :] ** 2 <= reach**2
+    G = np.where(inside, W.values, 0.0) @ E  # G[m, q] = Integral dp e^{-i p y_q} W(fine_m, p)
+    ii, jj = np.ogrid[:n_x, :n_x]
     rho = G[ii + jj, (jj - ii) + (n_x - 1)]
     rho = 0.5 * (rho + rho.conj().T)
     raw_trace = float(np.sum(np.real(np.diagonal(rho))) * du)

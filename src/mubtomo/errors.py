@@ -103,6 +103,10 @@ class MassOutsideAxis(InvariantViolation):
     """Projection mass falls outside the s axis; s_max is too small."""
 
 
+class OutsideProjectionDisk(InvariantViolation):
+    """An x extent reaches past the disk x^2 + p^2 <= reach^2 the projection rows cover."""
+
+
 class NonHermitianInput(MubTomoError):
     """Matrix expected to be Hermitian is not, beyond tolerance."""
 

@@ -17,10 +17,10 @@ The amplitude at n = 0 is the positive real d^{-1/2}; this pins the free
 global phase of each ket and makes serialization reproducible.
 
 ``build_mub_set`` returns a ``CanonicalMubSet``, which holds only d and
-builds the (d+1, d, d) array when a caller reads ``bases``. Because the
-overlap <b;c|b';c'> depends only on (b' - b, c' - c), ``mub_deviation``
-certifies such a set from d - 1 chirp FFTs, O(d^2 log d), where a set of
-arbitrary matrices takes the pairwise O(d^5) comparison.
+builds the (d+1, d, d) array when a caller reads ``bases``. Its overlap
+<b;c|b';c'> depends only on (b' - b, c' - c), so it yields the moduli that
+``mub_deviation`` certifies from d - 1 chirp FFTs, O(d^2 log d), where a
+set of arbitrary matrices takes the pairwise O(d^5) products.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ class MubBasisSet:
     ``bases[0]`` is the identity (computational basis); ``bases[1 + b]``
     diagonalises X Z^b. Cross-basis overlaps all have modulus 1/sqrt(d);
     ``mub_deviation`` measures how far a given set strays from that. Sets
-    read from a file or built by hand are this type. Their Born map and
-    inversion, which ``qudit_tomography`` calls, are the dense products:
+    read from a file or built by hand are this type. Their three routes
+    (Born map, inversion, overlap moduli) are the dense products:
     the oracle for ``CanonicalMubSet``, which ``build_mub_set`` returns.
     """
 
@@ -122,6 +122,11 @@ class MubBasisSet:
             rho += (U * row[np.newaxis, :]) @ U.conj().T
         return rho
 
+    def _overlap_moduli(self):
+        """|<u|v>| over every cross-basis ket pair, one pair of bases at a time."""
+        for U, V in itertools.combinations(self.bases, 2):
+            yield np.abs(U.conj().T @ V)
+
 
 def _lattice(d: int):
     """The two index pairs of the canonical transform pair, on the Hermitian
@@ -137,11 +142,10 @@ class CanonicalMubSet(MubBasisSet):
     """The bases |b;c> of the module docstring for an odd prime d, held as d alone.
 
     ``bases`` is built on first read, with the bytes and the read-only flag
-    that ``MubBasisSet`` would hold, and kept. ``mub_deviation``,
-    ``_born_rows`` and ``_invert`` never read it: the last two are the
-    finite Radon transform pair of the ``qudit_tomography`` module
-    docstring, O(d^2 log d), run on the Hermitian half k <= (d-1)/2 of the
-    lattice, and the dense products of ``MubBasisSet`` are their oracle.
+    that ``MubBasisSet`` would hold, and kept. No route reads it: the Born
+    map and inversion are the finite Radon transform pair of the
+    ``qudit_tomography`` module docstring, O(d^2 log d), on the Hermitian
+    half k <= (d-1)/2 of the lattice. The dense routes are their oracle.
     """
 
     def __init__(self, modulus: PrimeModulus):
@@ -191,6 +195,11 @@ class CanonicalMubSet(MubBasisSet):
         rho[diagonal] = diagonals
         return rho
 
+    def _overlap_moduli(self):
+        """The amplitudes, then every pair off the computational basis."""
+        yield np.abs(_amplitudes(self.dim))
+        yield np.abs(_cross_overlaps(self.dim))
+
 
 def build_mub_set(modulus: PrimeModulus) -> CanonicalMubSet:
     """The d+1 bases for the validated odd prime d; no matrix is built yet."""
@@ -210,18 +219,6 @@ def _cross_overlaps(d: int) -> np.ndarray:
 
 
 def mub_deviation(mub_set: MubBasisSet) -> float:
-    """Worst-case | |<u|v>| - 1/sqrt(d) | over all cross-basis ket pairs.
-
-    For a ``CanonicalMubSet`` the pairs with the computational basis are the
-    amplitudes, and every other pair is in ``_cross_overlaps``. Any other set
-    is compared basis pair by basis pair.
-    """
+    """Worst | |<u|v>| - 1/sqrt(d) | over the cross-basis moduli the set yields."""
     target = 1.0 / np.sqrt(mub_set.dim)
-    if isinstance(mub_set, CanonicalMubSet):
-        d = mub_set.dim
-        moduli = np.abs(np.concatenate([_amplitudes(d), _cross_overlaps(d).ravel()]))
-        return float(np.max(np.abs(moduli - target)))
-    worst = 0.0
-    for U, V in itertools.combinations(mub_set.bases, 2):
-        worst = max(worst, float(np.max(np.abs(np.abs(U.conj().T @ V) - target))))
-    return worst
+    return max(float(np.max(np.abs(m - target))) for m in mub_set._overlap_moduli())

@@ -26,10 +26,18 @@ spectrum is the conjugate of column k: both directions transform and move
 only k = 0 .. (d-1)/2, and the measurement reads the Hermitian part of rho
 there, as the dense Born map does. The inversion equals the affine formula
 on any table, also one whose rows do not sum to 1, and is exactly
-Hermitian. Each set carries its pair as ``_born_rows`` and ``_invert``,
-so a set of arbitrary matrices (read from a file, or built by hand) takes
-the dense products. ``qudit_wigner`` is an independent route to the rows:
-row 1+b sums W along the lines of slope b.
+Hermitian. Each set carries three routes: the pair as ``_born_rows`` and
+``_invert``, and the overlap moduli that ``qudit_mub.mub_deviation``
+reads. A set of arbitrary matrices (read from a file, or built by hand)
+takes the dense products. ``qudit_wigner`` is an independent route to the
+rows: row 1+b sums W along the lines of slope b.
+
+Sampled at x_n = (n - (d-1)/2) delta with delta = sqrt(2 pi / d), a
+resolved continuous state gives a qudit state whose row 1+b is its
+quadrature distribution at the lattice angle theta_b = atan2(1, -b),
+binned at spacing 2 pi / (d delta sqrt(1 + b^2)). This holds while the
+state sheared by b stays inside the torus, for small |b|; acceptance
+criterion C12 checks it at d = 101 and 211.
 """
 
 from __future__ import annotations
@@ -80,6 +88,14 @@ def random_density_matrix(dim: int, seed: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def _check_rows(dim: int, rows: np.ndarray):
+    """A table of a d-level system has d >= 1 and one row of d per basis."""
+    if dim < 1:
+        raise InvariantViolation(f"dimension must be at least 1, got {dim}")
+    if rows.shape != (dim + 1, dim):
+        raise DimensionMismatch(f"expected shape {(dim + 1, dim)}, got {rows.shape}")
+
+
 @dataclass(frozen=True, eq=False)
 class ProbabilityTable:
     """(d+1) x d Born probabilities; row 0 computational, row 1+b basis b."""
@@ -89,12 +105,7 @@ class ProbabilityTable:
 
     def __post_init__(self):
         freeze_fields(self, float, values=self.values)
-        if self.dim < 1:
-            raise InvariantViolation(f"dimension must be at least 1, got {self.dim}")
-        if self.values.shape != (self.dim + 1, self.dim):
-            raise DimensionMismatch(
-                f"expected shape {(self.dim + 1, self.dim)}, got {self.values.shape}"
-            )
+        _check_rows(self.dim, self.values)
         if np.min(self.values) < -ROUNDING_TOL or np.max(self.values) > 1 + ROUNDING_TOL:
             raise InvariantViolation("probabilities must lie in [0, 1]")
         # finite-shot frequency tables are allowed through with a warning
@@ -116,12 +127,7 @@ class CountTable:
 
     def __post_init__(self):
         freeze_fields(self, counts=self.counts)
-        if self.dim < 1:
-            raise InvariantViolation(f"dimension must be at least 1, got {self.dim}")
-        if self.counts.shape != (self.dim + 1, self.dim):
-            raise DimensionMismatch(
-                f"expected shape {(self.dim + 1, self.dim)}, got {self.counts.shape}"
-            )
+        _check_rows(self.dim, self.counts)
         if np.min(self.counts) < 0 or not np.issubdtype(self.counts.dtype, np.integer):
             raise InvariantViolation("counts must be nonnegative integers")
         if np.any(self.counts.sum(axis=1) != self.shots_per_basis):
@@ -147,6 +153,12 @@ def qudit_wigner(rho: np.ndarray) -> np.ndarray:
     W is real and sums to 1. Its line sums are the MUB rows of the canonical
     set: row 0 is sum_p W[q, p], and row 1+b at c = -(k + b h) mod d is
     sum_q W[q, b q + k]; a view of the state and a cross-check of both routes.
+
+    For a continuous state sampled as in the module docstring, column k h
+    mod d, |k| <= (d-1)/2, times d/pi is ``wigner_from_density`` at
+    p = k pi / (d delta) on the band |x| < d delta / 4. Outside it W holds the odd-d
+    ghost: the odd offsets y pair points half a period apart, and the
+    difference is about max |W|.
     """
     rho = validate_density_matrix(rho)
     d = assert_odd_prime(rho.shape[0]).d

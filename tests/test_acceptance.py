@@ -31,6 +31,7 @@ from mubtomo.qudit_tomography import (
     frequencies,
     measure_probabilities,
     project_to_physical,
+    qudit_wigner,
     random_density_matrix,
     reconstruct_density,
     sample_counts,
@@ -211,3 +212,57 @@ def test_c11_position_and_momentum_do_not_determine_the_state():
     _gate(11, "states agree at theta = 0 and pi/2 but differ at pi/4",
           distinct > 0.01 and d0 <= 1e-10 and d90 <= 1e-10 and d45 >= 0.05,
           f"theta 0: {d0:.1e}, pi/2: {d90:.1e}, pi/4: {d45:.3f}")
+
+
+def test_c12_qudit_and_continuous_pipelines_agree():
+    """The two pipelines on one cat state psi, sampled at the d points
+    x_n = (n - (d-1)/2) delta, delta = sqrt(2 pi / d); rho_c is the density
+    of those samples and delta * rho_c the qudit state.
+
+    Wigner: column k 2^-1 mod d of ``qudit_wigner`` times d/pi is
+    ``wigner_from_density(rho_c)`` at p_k = k pi/(d delta), k = -(d-1)/2 ..
+    (d-1)/2, on the band |x| < d delta/4; outside it sits the odd-d ghost.
+
+    Rows: row 1+b of the canonical set is (dP/r) times the quadrature
+    distribution at theta_b = atan2(1, -b), s = P_c/r, with r = sqrt(1+b^2),
+    dP = 2 pi/(d delta) and P_c = (pi b (d-2) - 2 pi c)/(d delta) wrapped into
+    [-pi/delta, pi/delta). The quadratures sample psi at half the step: on
+    the d-point grid the kernel-phase check, which reads the grid's extent
+    rather than the state's, refuses |sin theta_b| < (d-1)/d.
+    """
+    def psi(x):
+        return (np.exp(-(x - 1) ** 2 / 2 + 1j * x)
+                + np.exp(-(x + 1) ** 2 / 2 - 1j * x))
+
+    wigner_diff, ghost, row_diff = [], [], []
+    for d, b_max in ((101, 2), (211, 3)):
+        delta = np.sqrt(2 * np.pi / d)
+        x = (np.arange(d) - (d - 1) / 2) * delta
+        rho_c = density_from_wavefunction(psi(x), x[0], x[-1])
+        rho = delta * rho_c.values
+
+        k = np.arange(d) - (d - 1) // 2
+        W_q = qudit_wigner(rho)[:, (k * (d + 1) // 2) % d] * d / np.pi
+        W_c = wigner_from_density(rho_c, n_p=d, p_max=np.pi * (d - 1) / (2 * d * delta))
+        diff = np.abs(W_q - W_c.values)
+        band = np.abs(x) < d * delta / 4
+        wigner_diff.append(float(diff[band].max()))
+        ghost.append(float(diff[~band].max()))
+
+        rows = measure_probabilities(rho, build_mub_set(PrimeModulus(d))).values
+        x_fine = np.linspace(x[0], x[-1], 2 * d - 1)
+        rho_fine = density_from_wavefunction(psi(x_fine), x[0], x[-1])
+        dP = 2 * np.pi / (d * delta)
+        worst = 0.0
+        for b in range(-b_max, b_max + 1):
+            P = (np.pi * b * (d - 2) - 2 * np.pi * np.arange(d)) / (d * delta)
+            P = (P + np.pi / delta) % (2 * np.pi / delta) - np.pi / delta
+            order = np.argsort(P)
+            r = np.sqrt(1 + b * b)
+            quad = quadrature_distribution(rho_fine, np.arctan2(1, -b), P[order] / r)
+            worst = max(worst, float(np.max(np.abs(rows[1 + b % d][order] - dP / r * quad))))
+        row_diff.append(worst)
+    _gate(12, "qudit W and MUB rows match continuous W and quadratures, d = 101, 211",
+          max(wigner_diff) <= 1e-12 and min(ghost) >= 0.1 and max(row_diff) <= 2e-9,
+          f"W {wigner_diff[0]:.1e}, {wigner_diff[1]:.1e}; ghost {min(ghost):.2f}; "
+          f"rows {row_diff[0]:.1e}, {row_diff[1]:.1e}")

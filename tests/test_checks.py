@@ -7,8 +7,9 @@ Every count flag of the CLI is parsed with its lower bound, and every
 float flag as a finite number, so a negative size or an infinite extent is
 a usage error rather than a failure inside numpy. Every frozen dataclass
 stores its arrays through ``freeze_fields`` before it checks them, so no
-check sees a NaN. Only ``qudit_mub`` names ``CanonicalMubSet``: each set
-carries its own Born map and inversion, so no caller picks a route by type.
+check sees a NaN. Only ``qudit_mub`` names ``CanonicalMubSet``, and no
+module asks ``isinstance`` of a MUB set class: each set carries its own Born
+map, inversion and overlap moduli, so no code picks a route by type.
 No module calls ``eigvalsh``: positivity is a yes/no question, answered by
 a Cholesky factorization; ``project_to_physical`` needs the eigenvectors
 and keeps ``eigh``.
@@ -103,6 +104,18 @@ def test_only_qudit_mub_names_the_canonical_set():
                                  getattr(node, "name", None))
     ]
     assert not hits, hits
+
+
+def test_no_module_picks_a_mub_route_by_type():
+    sets = {"MubBasisSet", "CanonicalMubSet"}
+    hits = [
+        f"{name}:{node.lineno} {ast.unparse(node)}"
+        for name, tree in _trees() for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+        and sets & {getattr(sub, "id", getattr(sub, "attr", None))
+                    for arg in node.args[1:] for sub in ast.walk(arg)}
+    ]
+    assert MODULES and not hits, hits
 
 
 def test_positivity_is_checked_by_factorization():

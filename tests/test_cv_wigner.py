@@ -10,6 +10,7 @@ from conftest import rel_l2
 from mubtomo.classical_radon import Sinogram, project_at_angle
 from mubtomo.cv_wigner import (
     PositionDensityMatrix,
+    _skew,
     density_from_wavefunction,
     first_excited_state,
     ground_state,
@@ -30,6 +31,7 @@ from mubtomo.errors import (
     MassOutsideAxis,
     MomentumOutsideGrid,
     NonHermitianInput,
+    OutsideProjectionDisk,
 )
 
 X8 = np.linspace(-8.0, 8.0, 256)
@@ -215,6 +217,35 @@ def test_quadrature_aliased_grid():
         quadrature_distribution(rho, 0.8)
 
 
+def test_alias_check_binds_at_the_least_effective_sin():
+    """A call aliases exactly when one of its angles would alone: |sin| on
+    the position branch, |cos| on the momentum branch, against
+    dx x_max / pi = 0.867 on this grid. The error names the binding |sin|."""
+    x = np.linspace(-8.0, 8.0, 48)
+    rho = density_from_wavefunction(ground_state(x), -8.0, 8.0)
+    alone = {}
+    for theta in (0.6, 0.9, 1.2, np.pi / 2, 2.5, 2.9):
+        try:
+            quadrature_distribution(rho, theta)
+            alone[theta] = False
+        except AliasedGrid:
+            alone[theta] = True
+    assert alone == {0.6: True, 0.9: True, 1.2: False, np.pi / 2: False, 2.5: True, 2.9: False}
+    quadrature_sinogram(rho, [1.2, np.pi / 2, 2.9])
+    # effective |sin|: 0.825 (|cos 0.6|), 0.783 (|sin 0.9|), 0.801 (|cos 2.5|)
+    with pytest.raises(AliasedGrid, match=r"least effective \|sin\| = 0\.7833"):
+        quadrature_sinogram(rho, [0.6, 0.9, 1.2, np.pi / 2, 2.5, 2.9])
+
+
+def test_skew_holds_each_subdiagonal_zero_padded():
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    R = _skew(values)
+    for m in range(7):
+        assert np.array_equal(R[m, :7 - m], np.diagonal(values, offset=-m))
+        assert not np.any(R[m, 7 - m:])
+
+
 def test_quadrature_sinogram_rows(rho1):
     thetas = np.arange(12) * np.pi / 12
     sino = quadrature_sinogram(rho1, thetas)
@@ -383,6 +414,29 @@ def test_reconstruct_density_continuous_ground_state(rho0):
     diag = np.real(np.diag(rec.values))
     exact = np.exp(-rec.x**2) / np.sqrt(np.pi)
     assert np.max(np.abs(diag - exact)) <= 0.03 * exact.max()
+
+
+def test_reconstruct_density_continuous_stays_inside_the_disk():
+    """A resolved cat state: W is integrated only where x^2 + p^2 <= reach^2,
+    so the raw trace is 1 to 1e-4 and the relative HS error near 2.5e-3.
+    Integrating the corners of the p range outside the disk gave a raw
+    trace of 1.0087 and an error of 1.1e-2."""
+    def psi(x):
+        return (np.exp(-(x - 1) ** 2 / 2 + 1j * x)
+                + np.exp(-(x + 1) ** 2 / 2 - 1j * x))
+    rho = density_from_wavefunction(psi(X8), -8.0, 8.0)
+    quads = quadrature_sinogram(rho, np.arange(180) * np.pi / 180)
+    rec, raw_trace = reconstruct_density_continuous(quads)
+    assert abs(raw_trace - 1.0) <= 1e-4
+    truth = density_from_wavefunction(psi(rec.x), rec.x_min, rec.x_max).values
+    assert np.linalg.norm(rec.values - truth) / np.linalg.norm(truth) <= 4e-3
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.25])
+def test_x_max_outside_the_disk_is_named(rho0, factor):
+    quads = quadrature_sinogram(rho0, np.arange(16) * np.pi / 16)
+    with pytest.raises(OutsideProjectionDisk, match="projection disk of radius 8"):
+        reconstruct_density_continuous(quads, x_max=8.0 * factor)
 
 
 def test_reconstruct_density_continuous_rejects_zero_trace():

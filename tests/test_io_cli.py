@@ -518,12 +518,14 @@ def _unusable_argv(tmp_path, case):
                                       data=np.zeros((2, 8)).tolist()),
     }
     docs["nan_probabilities_projected"] = docs["nan_probabilities"]
+    docs["x_max_outside_disk"] = docs["zero_quadratures"]
     doc.write_text(json.dumps(docs.get(case, {})))
     argv = {
         "nan_state": ["simulate", "--dim", "3", "--state", str(state)],
         "zero_shots": ["simulate", "--dim", "3", "--state", str(state), "--shots", "0"],
         "infinite_x_max": ["quads", "--state", str(doc), "--angles", "4"],
         "zero_quadratures": ["reconstruct-cv", "--quads", str(doc)],
+        "x_max_outside_disk": ["reconstruct-cv", "--quads", str(doc), "--xmax", "1e3"],
         "nan_probabilities_projected": ["reconstruct", "--probs", str(doc), "--project"],
     }.get(case, ["reconstruct", "--probs", str(doc)])
     return argv + ["--out", str(tmp_path / "out.json")]
@@ -538,6 +540,7 @@ def _unusable_argv(tmp_path, case):
     ("zero_dim_probabilities", 3, "InvariantViolation"),
     ("zero_dim_counts", 3, "InvariantViolation"),
     ("zero_quadratures", 3, "InvariantViolation"),
+    ("x_max_outside_disk", 3, "OutsideProjectionDisk"),
 ])
 def test_cli_rejects_unusable_input(tmp_path, capsys, case, code, error):
     assert main(_unusable_argv(tmp_path, case)) == code
