@@ -1,4 +1,4 @@
-"""Read-only, finite array fields for the frozen dataclasses."""
+"""Read-only, finite array fields and finite scalar fields for the frozen dataclasses."""
 
 import numpy as np
 
@@ -23,3 +23,12 @@ def freeze_fields(instance, dtype=None, **fields):
         value = finite_array(value, dtype, f"{type(instance).__name__}.{name}")
         value.setflags(write=False)
         object.__setattr__(instance, name, value)
+
+
+def require_finite(instance, *names):
+    """Raise ``InvariantViolation`` naming the first of the scalar fields
+    ``names`` that is not finite."""
+    for name in names:
+        value = getattr(instance, name)
+        if not np.isfinite(value):
+            raise InvariantViolation(f"{type(instance).__name__}.{name} must be finite, got {value}")

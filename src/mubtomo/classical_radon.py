@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import freeze_fields
+from ._frozen import freeze_fields, require_finite
 from .errors import (FOOTPRINT_FLOOR, MASS_TOL, SPACING_TOL, EmptyGrid, IndexOutOfRange,
                      InsufficientAngles, InvariantViolation, MassOutsideAxis)
 
@@ -45,6 +45,7 @@ class PhaseSpaceGrid:
         freeze_fields(self, float, values=self.values)
         if self.values.ndim != 2 or min(self.values.shape) < 2:
             raise EmptyGrid(f"grid needs at least 2x2 samples, got shape {self.values.shape}")
+        require_finite(self, "x_min", "x_max", "p_min", "p_max")
         if not (self.x_min < self.x_max and self.p_min < self.p_max):
             raise InvariantViolation("grid extents must be ordered")
 
@@ -93,6 +94,7 @@ class Sinogram:
                                      f"for angles of shape {self.thetas.shape}")
         if self.n_theta < 1 or self.n_s < 2:
             raise InvariantViolation("sinogram needs at least one angle and two s samples")
+        require_finite(self, "s_min", "s_max")
         if np.any(self.thetas < 0.0) or np.any(self.thetas >= np.pi):
             raise InvariantViolation("angles must lie in [0, pi)")
         if not self.s_min < self.s_max:
@@ -126,13 +128,28 @@ def _circumscribing_radius(grid: PhaseSpaceGrid) -> float:
                           max(-grid.p_min, grid.p_max) + grid.dp / 2))
 
 
-def _footprint_cdf(d, a, b):
-    """CDF at offset d of the unit-mass trapezoid box(a) * box(b), a >= b > 0."""
+def _share(y, a, b, work, spare):
+    """Overwrite y, in bins from a footprint's left end, with the share of
+    the unit-mass trapezoid box(a) * box(b) that lies within y of that end.
 
-    def ramp(u):  # antiderivative of the CDF of box(b)
-        return np.clip(u + b / 2, 0.0, b) ** 2 / (2 * b) + np.maximum(u - b / 2, 0.0)
-
-    return (ramp(d + a / 2) - ramp(d - a / 2)) / a
+    With y clipped to [0, a + b] the share is one closed form for the rising
+    ramp, the plateau and the falling ramp, for any sides a, b > 0:
+    (y - b/2)/a + (max(b - y, 0)^2 - max(y - a, 0)^2) / (2ab).
+    ``work`` and ``spare`` are scratch arrays of y's shape.
+    """
+    np.clip(y, 0.0, a + b, out=y)
+    np.subtract(b, y, out=work)
+    np.maximum(work, 0.0, out=work)
+    np.square(work, out=work)
+    np.subtract(y, a, out=spare)
+    np.maximum(spare, 0.0, out=spare)
+    np.square(spare, out=spare)
+    work -= spare
+    y -= b / 2
+    y *= 2 * b
+    y += work
+    y *= 1.0 / (2 * a * b)
+    return y
 
 
 def _project_rows(grid: PhaseSpaceGrid, thetas, n_s: int, s_max: float) -> np.ndarray:
@@ -141,51 +158,70 @@ def _project_rows(grid: PhaseSpaceGrid, thetas, n_s: int, s_max: float) -> np.nd
     Sample v[i, j] is a dx x dp box of mass v dx dp. At angle theta it
     projects to the trapezoid box(a) * box(b) centred on
     x_i cos(theta) + p_j sin(theta), where a and b are the larger and the
-    smaller of |cos| dx and |sin| dp; its CDF, evaluated at bin edges
-    measured from the centre, gives the share of every bin
-    [s_k - ds/2, s_k + ds/2]. Raises ``MassOutsideAxis`` when a row misses
-    part of ``grid.mass()`` because s_max is too small.
+    smaller of |cos| dx and |sin| dp. All lengths are in bins of width ds:
+    the footprint's left end lies
+    L = (x_i cos(theta) + p_j sin(theta) + s_max)/ds + 1/2 - (a + b)/2
+    bins right of the axis's left edge, and ``_share`` at the bin edges past
+    L gives the footprint's running share up to each of its bins. Bin
+    k + m of a footprint starting in bin k takes the difference of two
+    running shares, so each footprint bin m costs one ``bincount``, added at
+    offset m and taken off at m + 1. The nx * n_p work arrays are allocated
+    once per call and every angle writes into them in place. Raises
+    ``MassOutsideAxis`` when a row misses part of ``grid.mass()`` because
+    s_max is too small.
     """
     if n_s < 2 or not 0 < s_max < np.inf or not np.all(np.isfinite(thetas)):
         raise InvariantViolation(f"need n_s >= 2, finite s_max > 0 and finite angles, "
                                  f"got n_s = {n_s}, s_max = {s_max}")
     ds = 2.0 * s_max / (n_s - 1)
-    edge = s_max + ds / 2  # outer edges of the end bins
     mass = (grid.values * (grid.dx * grid.dp)).ravel()
     total = grid.mass()
+    xb, pb = grid.x / ds, grid.p / ds
+    # work arrays: left end, then its fraction; its floor, then scratch;
+    # the first bin's index; the running share; scratch
+    left2d = np.empty(grid.values.shape)
+    left = left2d.reshape(-1)
+    low, share, work = np.empty(mass.size), np.empty(mass.size), np.empty(mass.size)
+    idx = np.empty(mass.size, dtype=np.intp)
     out = np.empty((len(thetas), n_s))
     for it, th in enumerate(thetas):
         c, s = np.cos(th), np.sin(th)
-        wx, wp = abs(c) * grid.dx, abs(s) * grid.dp
-        a, b = max(wx, wp), max(min(wx, wp), FOOTPRINT_FLOOR * ds)
-        half = (a + b) / 2
-        n_bins = int(np.ceil((a + b) / ds)) + 1
-        centre = np.add.outer(grid.x * c, grid.p * s).ravel()
+        wx, wp = abs(c) * grid.dx / ds, abs(s) * grid.dp / ds
+        a, b = max(wx, wp), max(min(wx, wp), FOOTPRINT_FLOOR)
+        n_bins = int(np.ceil(a + b)) + 1
+        np.add.outer(xb * c + (s_max / ds + 0.5 - (a + b) / 2), pb * s, out=left2d)
         # the centres reach farthest at the grid's corners; only a footprint
-        # past an outer edge can lose mass, so check before the deposit loop
+        # past an outer edge (n_s/2 bins from the centre) can lose mass, so
+        # check before the deposit loop
         reach = max(abs(x * c + p * s) for x in (grid.x_min, grid.x_max)
-                    for p in (grid.p_min, grid.p_max)) + half
-        if reach > edge:
-            off = _footprint_cdf(-edge - centre, a, b) + 1.0 - _footprint_cdf(edge - centre, a, b)
-            lost = abs(float(mass @ off))
+                    for p in (grid.p_min, grid.p_max)) / ds + (a + b) / 2
+        if reach > n_s / 2:
+            # share before the axis's left edge, and past its right edge
+            np.negative(left, out=share)
+            lost = mass @ _share(share, a, b, work, low)
+            np.subtract(left, n_s - (a + b), out=share)
+            lost = abs(float(lost + mass @ _share(share, a, b, work, low)))
             if lost > MASS_TOL * max(1.0, abs(total)):
                 raise MassOutsideAxis(
                     f"projection rows miss {lost:.3g} of the grid mass {total:.6g} outside "
                     f"|s| <= {s_max:.6g}; the default s_max {_circumscribing_radius(grid):.6g} "
                     "encloses the grid"
                 )
-        # left end of each footprint, in bins from the left edge of bin 0
-        left = (centre + (s_max - half)) / ds + 0.5
-        k = np.floor(left)
-        frac = left - k
+        np.floor(left, out=low)
+        left -= low
         # footprints that start far off the axis still land off it
-        idx = np.clip(k, -n_bins, n_s).astype(np.intp) + n_bins
+        np.clip(low, -n_bins, n_s, out=low)
+        np.add(low, n_bins, out=idx, casting="unsafe")
+        size = n_s + n_bins + 1  # idx runs over [0, n_s + n_bins]
         row = np.zeros(n_s + 2 * n_bins)
-        below = 0.0
-        for m in range(n_bins):
-            upto = 1.0 if m == n_bins - 1 else _footprint_cdf((m + 1 - frac) * ds - half, a, b)
-            row += np.bincount(idx + m, weights=mass * (upto - below), minlength=row.size)
-            below = upto
+        for m in range(n_bins - 1):
+            np.subtract(m + 1, left, out=share)
+            _share(share, a, b, work, low)
+            share *= mass
+            upto = np.bincount(idx, weights=share, minlength=size)
+            row[m : m + size] += upto
+            row[m + 1 : m + 1 + size] -= upto
+        row[n_bins - 1 : n_bins - 1 + size] += np.bincount(idx, weights=mass, minlength=size)
         out[it] = row[n_bins : n_bins + n_s]
     return out / ds
 
@@ -209,7 +245,10 @@ def radon_forward(grid: PhaseSpaceGrid, thetas, n_s: int,
 
     Each sample is a dx x dp box (the rectangle rule of ``grid.mass()``),
     and its trapezoidal footprint is integrated exactly over every s bin,
-    so every row carries ``grid.mass()`` to rounding.
+    so every row carries ``grid.mass()`` to rounding. The footprints are
+    placed in bin units and their bin shares come from one closed form
+    (``_share``); the pixel-sized work arrays are allocated once per call
+    and reused at every angle, and nothing is kept between calls.
 
     Parameters
     ----------

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._frozen import freeze_fields
+from ._frozen import freeze_fields, require_finite
 from .classical_radon import PhaseSpaceGrid, Sinogram, inverse_radon
 from .errors import (
     CV_HERMITIAN_TOL,
@@ -84,6 +84,7 @@ class PositionDensityMatrix:
         freeze_fields(self, complex, values=self.values)
         if self.values.ndim != 2 or self.n < 2 or self.n != self.values.shape[1]:
             raise InvariantViolation(f"expected a square sample matrix, got {self.values.shape}")
+        require_finite(self, "x_min", "x_max")
         if not self.x_min < self.x_max:
             raise InvariantViolation("x extents must be ordered")
         if np.max(np.abs(self.values - self.values.conj().T)) > CV_HERMITIAN_TOL:

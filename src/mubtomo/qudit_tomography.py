@@ -244,6 +244,12 @@ def project_to_physical(rho: np.ndarray) -> np.ndarray:
     Eigenvalues are mapped to the probability simplex (nonnegative, unit
     sum) and the matrix is rebuilt in the same eigenbasis. Already
     physical input is returned unchanged up to rounding.
+
+    Of a MUB inversion this is the least-squares state: for frequencies f
+    whose rows sum to 1, rho = ``reconstruct_density(f)`` and any unit-trace
+    sigma, sum_kn (f_kn - <kn|sigma|kn>)^2 = ||rho - sigma||_HS^2 (the d + 1
+    bases are a 2-design), so the nearest physical state to rho is the
+    physical state whose Born table is nearest to f.
     """
     rho = finite_array(rho, complex, "matrix")
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:

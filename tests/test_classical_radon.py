@@ -16,12 +16,15 @@ from conftest import (
 from mubtomo.classical_radon import (
     PhaseSpaceGrid,
     Sinogram,
+    _circumscribing_radius,
     fourier_slice,
     inverse_radon,
     project_at_angle,
     radon_forward,
 )
 from mubtomo.errors import (
+    FOOTPRINT_FLOOR,
+    MASS_TOL,
     EmptyGrid,
     IndexOutOfRange,
     InsufficientAngles,
@@ -174,6 +177,112 @@ def test_forward_validations():
             project_at_angle(grid, 0.1, n_s=n_s, s_max=s_max)
     with pytest.raises(EmptyGrid):
         PhaseSpaceGrid(values=np.ones((1, 4)), x_min=0, x_max=1, p_min=0, p_max=1)
+
+
+def _footprint_cdf(d, a, b):
+    """CDF at offset d of the unit-mass trapezoid box(a) * box(b), a >= b > 0."""
+
+    def ramp(u):  # antiderivative of the CDF of box(b)
+        return np.clip(u + b / 2, 0.0, b) ** 2 / (2 * b) + np.maximum(u - b / 2, 0.0)
+
+    return (ramp(d + a / 2) - ramp(d - a / 2)) / a
+
+
+def _reference_rows(grid, thetas, n_s, s_max):
+    """The footprint projector as first written, in s units, with fresh
+    arrays per angle and the CDF as a difference of two ramps; the oracle
+    of ``classical_radon._project_rows``."""
+    ds = 2.0 * s_max / (n_s - 1)
+    edge = s_max + ds / 2
+    mass = (grid.values * (grid.dx * grid.dp)).ravel()
+    total = grid.mass()
+    out = np.empty((len(thetas), n_s))
+    for it, th in enumerate(thetas):
+        c, s = np.cos(th), np.sin(th)
+        wx, wp = abs(c) * grid.dx, abs(s) * grid.dp
+        a, b = max(wx, wp), max(min(wx, wp), FOOTPRINT_FLOOR * ds)
+        half = (a + b) / 2
+        n_bins = int(np.ceil((a + b) / ds)) + 1
+        centre = np.add.outer(grid.x * c, grid.p * s).ravel()
+        reach = max(abs(x * c + p * s) for x in (grid.x_min, grid.x_max)
+                    for p in (grid.p_min, grid.p_max)) + half
+        if reach > edge:
+            off = _footprint_cdf(-edge - centre, a, b) + 1.0 - _footprint_cdf(edge - centre, a, b)
+            lost = abs(float(mass @ off))
+            if lost > MASS_TOL * max(1.0, abs(total)):
+                raise MassOutsideAxis(
+                    f"projection rows miss {lost:.3g} of the grid mass {total:.6g} outside "
+                    f"|s| <= {s_max:.6g}; the default s_max {_circumscribing_radius(grid):.6g} "
+                    "encloses the grid"
+                )
+        left = (centre + (s_max - half)) / ds + 0.5
+        k = np.floor(left)
+        frac = left - k
+        idx = np.clip(k, -n_bins, n_s).astype(np.intp) + n_bins
+        row = np.zeros(n_s + 2 * n_bins)
+        below = 0.0
+        for m in range(n_bins):
+            upto = 1.0 if m == n_bins - 1 else _footprint_cdf((m + 1 - frac) * ds - half, a, b)
+            row += np.bincount(idx + m, weights=mass * (upto - below), minlength=row.size)
+            below = upto
+        out[it] = row[n_bins : n_bins + n_s]
+    return out / ds
+
+
+def _agrees_with_reference(project, grid, thetas, n_s, s_max):
+    """``project()`` gives the reference rows to 1e-12 of their largest
+    entry, or raises ``MassOutsideAxis`` with the reference's message."""
+    try:
+        ref = _reference_rows(grid, thetas, n_s, s_max)
+    except MassOutsideAxis as exc:
+        with pytest.raises(MassOutsideAxis) as got:
+            project()
+        assert str(got.value) == str(exc)
+        return
+    rows = project()
+    assert np.max(np.abs(rows - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@st.composite
+def _footprint_cases(draw):
+    """A signed phantom on an nx x n_p grid (nx != n_p) with asymmetric
+    extents, and an s axis on which footprints span about 1 to 5 bins; s_max
+    runs from well inside the grid to the default."""
+    n_s = draw(st.integers(4, 300))
+    nx = max(2, round((n_s - 1) / draw(st.floats(1.0, 5.0))) + 1)
+    n_p = max(2, nx + draw(st.sampled_from([-3, -1, 1, 2, 5])))
+    if n_p == nx:
+        n_p += 1
+    x_min, x_max = -draw(st.floats(0.5, 6.0)), draw(st.floats(0.5, 6.0))
+    p_min, p_max = -draw(st.floats(0.5, 6.0)), draw(st.floats(0.5, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X, P = np.meshgrid(np.linspace(x_min, x_max, nx), np.linspace(p_min, p_max, n_p),
+                       indexing="ij")
+    width = draw(st.floats(0.3, 3.0))
+    values = rng.uniform(-0.3, 1.0, (nx, n_p)) * np.exp(-(X * X + P * P) / (2 * width**2))
+    grid = PhaseSpaceGrid(values=values, x_min=x_min, x_max=x_max, p_min=p_min, p_max=p_max)
+    s_max = draw(st.floats(0.2, 1.0)) * _circumscribing_radius(grid)
+    return grid, n_s, s_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_footprint_cases(),
+       thetas=st.lists(st.floats(0.0, np.pi, exclude_max=True)
+                       | st.sampled_from([0.0, np.pi / 2]), min_size=1, max_size=4))
+def test_rows_match_the_two_ramp_reference(case, thetas):
+    grid, n_s, s_max = case
+    _agrees_with_reference(lambda: radon_forward(grid, thetas, n_s, s_max=s_max).values,
+                           grid, thetas, n_s, s_max)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_footprint_cases(),
+       theta=st.floats(np.pi, 2 * np.pi, exclude_max=True)
+       | st.sampled_from([np.pi, 3 * np.pi / 2]))
+def test_reflected_rows_match_the_two_ramp_reference(case, theta):
+    grid, n_s, s_max = case
+    _agrees_with_reference(lambda: project_at_angle(grid, theta, n_s, s_max=s_max)[1],
+                           grid, [theta], n_s, s_max)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -46,3 +46,28 @@ def test_fields_reject_non_finite_entries(make, arr, field, bad):
     arr.flat[-1] = bad
     with pytest.raises(InvariantViolation, match=rf"\.{field} has non-finite entries"):
         make(arr)
+
+
+def _extent_cases():
+    rho = np.eye(4, dtype=complex) / 3.0
+    extents = {"x_min": -1.0, "x_max": 1.0, "p_min": -1.0, "p_max": 1.0}
+    for field in extents:
+        yield lambda bad, f=field: PhaseSpaceGrid(np.ones((3, 3)), **{**extents, f: bad}), \
+            f"PhaseSpaceGrid.{field}"
+    for field in ("s_min", "s_max"):
+        yield lambda bad, f=field: Sinogram(np.ones((2, 3)), np.array([0.0, 1.0]),
+                                            **{"s_min": -1.0, "s_max": 1.0, f: bad}), \
+            f"Sinogram.{field}"
+    for field in ("x_min", "x_max"):
+        yield lambda bad, f=field: PositionDensityMatrix(
+            rho, **{"x_min": -1.125, "x_max": 1.125, f: bad}), f"PositionDensityMatrix.{field}"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("make, name", list(_extent_cases()),
+                         ids=[name for _, name in _extent_cases()])
+def test_extents_reject_non_finite_values_by_name(make, name, bad):
+    """An infinite extent passes the ordering check, and a NaN one would be
+    blamed on the ordering, the row masses or the trace; each is named."""
+    with pytest.raises(InvariantViolation, match=rf"^{name} must be finite"):
+        make(bad)

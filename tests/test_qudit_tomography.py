@@ -385,6 +385,32 @@ def test_project_output_always_physical():
         assert abs(np.sum(w) - 1.0) <= 1e-12
 
 
+def test_projected_inversion_is_the_least_squares_state():
+    """For MUB frequencies the residual sum_kn (f_kn - p_kn(sigma))^2 of a
+    unit-trace sigma is ||rho_hat - sigma||_HS^2, so the projection of the
+    raw estimate fits the frequencies best among physical states."""
+    d = 7
+    ms = _set(d)
+    f = frequencies(sample_counts(measure_probabilities(_random_state(d, 1, 5), ms), 200, seed=3))
+    raw = reconstruct_density(f, ms)
+    assert np.min(np.linalg.eigvalsh(raw)) < -0.01
+    best = project_to_physical(raw)
+
+    def residual(sigma):
+        return float(np.sum((f.values - measure_probabilities(sigma, ms).values) ** 2))
+
+    def hs2(sigma):
+        return float(np.sum(np.abs(raw - sigma) ** 2))
+
+    assert abs(residual(best) - hs2(best)) <= 1e-12 * hs2(best)
+    for seed in range(20):
+        other = _random_state(d, 1 + seed % d, 100 + seed)
+        for t in (1.0, 0.1, 1e-3):
+            sigma = (1 - t) * best + t * other
+            assert abs(residual(sigma) - hs2(sigma)) <= 1e-12 * hs2(sigma)
+            assert residual(sigma) >= residual(best) - 1e-15
+
+
 def test_shot_noise_error_decreases():
     d = 5
     ms = _set(d)
