@@ -76,22 +76,23 @@ def _uniform_angles(n: int) -> np.ndarray:
 
 
 def _load_cv_state(path, n=None, xmax=None):
-    """Position density from a density or wavefunction file.
+    """Position density from a density or wavefunction file, parsed once by
+    ``io_formats.read_one_of``; any other kind is a UsageError.
 
     Wavefunctions are linearly resampled onto n points over [-xmax, xmax]
     when those flags are given; density matrices must already match.
     """
-    kind = iof.peek_kind(path)
-    if kind == "wavefunction":
-        psi, x_min, x_max = iof.read_wavefunction(path)
+    def wavefunction(doc, path):
+        psi, x_min, x_max = iof.as_wavefunction(doc, path)
         if n is not None and xmax is not None:
             old = np.linspace(x_min, x_max, psi.size)
             new = np.linspace(-xmax, xmax, n)
             psi = np.interp(new, old, psi.real) + 1j * np.interp(new, old, psi.imag)
             x_min, x_max = -xmax, xmax
         return density_from_wavefunction(psi, x_min, x_max)
-    if kind == "density":
-        rho = iof.read_position_density(path)
+
+    def density(doc, path):
+        rho = iof.as_position_density(doc, path)
         if n is not None and (rho.n != n or abs(rho.x_max - xmax) > SPACING_TOL
                               or abs(rho.x_min + xmax) > SPACING_TOL):
             raise UsageError(
@@ -100,7 +101,8 @@ def _load_cv_state(path, n=None, xmax=None):
                 f"supported for wavefunction inputs"
             )
         return rho
-    raise UsageError(f"{path}: kind {kind!r} is not a continuous state")
+
+    return iof.read_one_of(path, "a continuous state", wavefunction=wavefunction, density=density)
 
 
 def _cmd_mub(args):
@@ -122,13 +124,9 @@ def _cmd_simulate(args):
 
 
 def _cmd_reconstruct(args):
-    kind = iof.peek_kind(args.probs)
-    if kind == "probabilities":
-        table = iof.read_probability_table(args.probs)
-    elif kind == "counts":
-        table = frequencies(iof.read_count_table(args.probs))
-    else:
-        raise UsageError(f"{args.probs}: kind {kind!r} is not a measurement table")
+    table = iof.read_one_of(
+        args.probs, "a measurement table", probabilities=iof.as_probability_table,
+        counts=lambda doc, path: frequencies(iof.as_count_table(doc, path)))
     mub_set = build_mub_set(assert_odd_prime(table.dim))
     rho = reconstruct_density(table, mub_set)
     if args.project:

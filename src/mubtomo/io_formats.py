@@ -3,8 +3,12 @@
 Every document is ``{"format": 1, "kind": <kind>, <header keys>, "data": ...}``.
 Complex entries are [re, im] pairs, matrices row-major nested lists. Writers
 emit plain ``repr`` floats, so a write/read cycle is bit-exact for float64.
-Readers re-validate the wrapped type's invariants; file and schema problems
-raise FormatError (exit 2), violated invariants the domain error (exit 3).
+Each file is parsed once, by ``_parse``: ``read_one_of`` converts a file that
+may hold one of several kinds with the converter its kind names, such as
+``as_count_table(doc, path)``, and ``read_count_table(path)`` is the same
+parse and converter. Readers re-validate the wrapped type's invariants; file
+and schema problems raise FormatError (exit 2), a kind the caller cannot use
+UsageError (exit 2), violated invariants the domain error (exit 3).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from .classical_radon import PhaseSpaceGrid, Sinogram
 from .cv_wigner import PositionDensityMatrix
-from .errors import FormatError
+from .errors import FormatError, UsageError
 from .qudit_mub import MubBasisSet
 from .qudit_tomography import CountTable, ProbabilityTable, validate_density_matrix
 
@@ -57,11 +61,11 @@ def _parse(path) -> dict:
     return doc
 
 
-def _load(path, kind: str, **types) -> list:
+def _load(doc: dict, path, kind: str, **types) -> list:
     """Values of the header keys, each converted by ``_array`` to its type in
-    ``types`` (int, float, or None to keep it as parsed), then ``data``, of a
-    ``kind`` document. Float header values must be finite."""
-    doc = _parse(path)
+    ``types`` (int, float, or None to keep it as parsed), then ``data``, of
+    ``doc``, a ``kind`` document parsed from ``path``. Float header values
+    must be finite."""
     if doc.get("format") != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported format {doc.get('format')!r}")
     if doc.get("kind") != kind:
@@ -106,11 +110,17 @@ def _write_csv(path, comments: list, rows):
             fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
-def peek_kind(path) -> str:
+def read_one_of(path, what: str, **converters):
+    """The document at ``path`` converted by ``converters[kind]``, a function
+    of (doc, path). A kind with no converter is a UsageError saying that the
+    file is not ``what``; it is checked before the format version."""
     doc = _parse(path)
     if "kind" not in doc:
         raise FormatError(f"{path}: no 'kind' field")
-    return str(doc["kind"])
+    kind = str(doc["kind"])
+    if kind not in converters:
+        raise UsageError(f"{path}: kind {kind!r} is not {what}")
+    return converters[kind](doc, path)
 
 
 # ---------------------------------------------------------------- densities
@@ -122,7 +132,7 @@ def write_qudit_density(path, rho: np.ndarray):
 
 
 def read_qudit_density(path) -> np.ndarray:
-    dim, data = _load(path, "density", dim=int)
+    dim, data = _load(_parse(path), path, "density", dim=int)
     return validate_density_matrix(_array(data, path, (dim,) * 2, complex))
 
 
@@ -131,10 +141,14 @@ def write_position_density(path, rho: PositionDensityMatrix, **extra):
           n=rho.n, x_min=rho.x_min, x_max=rho.x_max)
 
 
-def read_position_density(path) -> PositionDensityMatrix:
-    n, x_min, x_max, data = _load(path, "density", n=int, x_min=float, x_max=float)
+def as_position_density(doc, path) -> PositionDensityMatrix:
+    n, x_min, x_max, data = _load(doc, path, "density", n=int, x_min=float, x_max=float)
     return PositionDensityMatrix(values=_array(data, path, (n,) * 2, complex),
                                  x_min=x_min, x_max=x_max)
+
+
+def read_position_density(path) -> PositionDensityMatrix:
+    return as_position_density(_parse(path), path)
 
 
 def write_wavefunction(path, psi: np.ndarray, x_min: float, x_max: float):
@@ -143,10 +157,14 @@ def write_wavefunction(path, psi: np.ndarray, x_min: float, x_max: float):
           n=int(psi.size), x_min=float(x_min), x_max=float(x_max))
 
 
+def as_wavefunction(doc, path):
+    n, x_min, x_max, data = _load(doc, path, "wavefunction", n=int, x_min=float, x_max=float)
+    return _array(data, path, (n,), complex), x_min, x_max
+
+
 def read_wavefunction(path):
     """Returns (psi, x_min, x_max); density formation is the caller's call."""
-    n, x_min, x_max, data = _load(path, "wavefunction", n=int, x_min=float, x_max=float)
-    return _array(data, path, (n,), complex), x_min, x_max
+    return as_wavefunction(_parse(path), path)
 
 
 # ----------------------------------------------------------------- unitaries
@@ -157,7 +175,7 @@ def write_mub_set(path, mub_set: MubBasisSet):
 
 
 def read_mub_set(path) -> MubBasisSet:
-    dim, count, data = _load(path, "unitary", dim=int, count=int)
+    dim, count, data = _load(_parse(path), path, "unitary", dim=int, count=int)
     return MubBasisSet(dim=dim, bases=_array(data, path, (count, dim, dim), complex))
 
 
@@ -168,9 +186,13 @@ def write_probability_table(path, table: ProbabilityTable):
     _dump(path, "probabilities", table.values.tolist(), dim=table.dim)
 
 
-def read_probability_table(path) -> ProbabilityTable:
-    dim, data = _load(path, "probabilities", dim=int)
+def as_probability_table(doc, path) -> ProbabilityTable:
+    dim, data = _load(doc, path, "probabilities", dim=int)
     return ProbabilityTable(dim=dim, values=_array(data, path))
+
+
+def read_probability_table(path) -> ProbabilityTable:
+    return as_probability_table(_parse(path), path)
 
 
 def write_count_table(path, counts: CountTable, **extra):
@@ -178,10 +200,14 @@ def write_count_table(path, counts: CountTable, **extra):
           dim=counts.dim, shots_per_basis=counts.shots_per_basis)
 
 
-def read_count_table(path) -> CountTable:
-    dim, shots, data = _load(path, "counts", dim=int, shots_per_basis=int)
+def as_count_table(doc, path) -> CountTable:
+    dim, shots, data = _load(doc, path, "counts", dim=int, shots_per_basis=int)
     return CountTable(dim=dim, shots_per_basis=shots,
                       counts=_array(data, path, dtype=int))
+
+
+def read_count_table(path) -> CountTable:
+    return as_count_table(_parse(path), path)
 
 
 # -------------------------------------------------------- grids and sinograms
@@ -194,7 +220,8 @@ def write_grid(path, grid: PhaseSpaceGrid):
 
 def read_grid(path) -> PhaseSpaceGrid:
     nx, n_p, x_min, x_max, p_min, p_max, data = _load(
-        path, "grid", nx=int, np=int, x_min=float, x_max=float, p_min=float, p_max=float)
+        _parse(path), path, "grid",
+        nx=int, np=int, x_min=float, x_max=float, p_min=float, p_max=float)
     return PhaseSpaceGrid(values=_array(data, path, (nx, n_p)),
                           x_min=x_min, x_max=x_max, p_min=p_min, p_max=p_max)
 
@@ -206,9 +233,11 @@ def write_sinogram(path, sino: Sinogram):
 
 def read_sinogram(path) -> Sinogram:
     n_theta, thetas, n_s, s_min, s_max, data = _load(
-        path, "sinogram", n_theta=int, thetas=None, n_s=int, s_min=float, s_max=float)
+        _parse(path), path, "sinogram",
+        n_theta=int, thetas=None, n_s=int, s_min=float, s_max=float)
     return Sinogram(values=_array(data, path, (n_theta, n_s)),
-                    thetas=_array(thetas, path), s_min=s_min, s_max=s_max)
+                    thetas=_array(thetas, path, (n_theta,), name="'thetas'"),
+                    s_min=s_min, s_max=s_max)
 
 
 def write_grid_csv(path, grid: PhaseSpaceGrid):

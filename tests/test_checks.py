@@ -12,7 +12,8 @@ module asks ``isinstance`` of a MUB set class: each set carries its own Born
 map, inversion and overlap moduli, so no code picks a route by type.
 No module calls ``eigvalsh``: positivity is a yes/no question, answered by
 a Cholesky factorization; ``project_to_physical`` needs the eigenvectors
-and keeps ``eigh``.
+and keeps ``eigh``. Only ``io_formats._parse`` calls ``json.load`` or
+``json.loads``, so each input file is parsed once, on one path.
 """
 
 import ast
@@ -126,3 +127,18 @@ def test_positivity_is_checked_by_factorization():
                           getattr(node, "name", None))
     ]
     assert MODULES and not hits, hits
+
+
+def test_json_is_parsed_only_in_parse():
+    trees = dict(_trees())
+    parse = next(node for node in ast.walk(trees["io_formats.py"])
+                 if isinstance(node, ast.FunctionDef) and node.name == "_parse")
+    hits = [
+        (name, node.lineno)
+        for name, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+        and getattr(node.value, "id", None) == "json"
+        or isinstance(node, ast.ImportFrom) and node.module == "json"
+    ]
+    assert [(name, parse.lineno <= line <= parse.end_lineno) for name, line in hits] == [
+        ("io_formats.py", True)], hits

@@ -278,6 +278,10 @@ def _malformed_cases():
             yield reader, "matrix_shape_differs_from_header_dim", {"dim": 2}
         elif kind not in ("probabilities", "counts"):  # see the test after this one
             yield reader, "data_shape_differs_from_header", {first: header[first] + 1}
+        if reader == "read_sinogram":
+            yield reader, "thetas_length_differs_from_n_theta", {"thetas": [0.0, 0.5, 1.5]}
+            yield reader, "nested_thetas", {"thetas": [[0.0, 0.5], [1.0, 1.5]]}
+            yield reader, "scalar_thetas", {"thetas": 0.0}
     yield "read_count_table", "shots_beyond_int64", {"shots_per_basis": 1e300}
     yield "read_count_table", "count_beyond_int64", {"data": [[1e300, 2], [1, 4], [5, 0]]}
 
@@ -435,8 +439,8 @@ def test_cli_simulate_rejects_negative_shots_and_seed(tmp_path, capsys, flags):
 
 def _valid_argv(tmp_path, command):
     """A ``command`` invocation on readable inputs that writes ``out.json``."""
-    state, psi, grid, sino, quads = (tmp_path / f"{n}.json"
-                                     for n in ("state", "psi", "grid", "sino", "quads"))
+    state, psi, grid, sino, quads, counts = (
+        tmp_path / f"{n}.json" for n in ("state", "psi", "grid", "sino", "quads", "counts"))
     iof.write_qudit_density(state, np.eye(3, dtype=complex) / 3)
     x = np.linspace(-6, 6, 64)
     iof.write_wavefunction(psi, ground_state(x).astype(complex), -6, 6)
@@ -444,7 +448,11 @@ def _valid_argv(tmp_path, command):
     iof.write_grid(grid, grid_obj)
     iof.write_sinogram(sino, radon_forward(grid_obj, np.arange(8) * np.pi / 8, 16))
     assert main(["quads", "--state", str(psi), "--angles", "8", "--out", str(quads)]) == 0
+    iof.write_count_table(counts, CountTable(dim=3, shots_per_basis=10,
+                                             counts=np.array([[4, 3, 3]] * 4)))
     inputs = {
+        "mub": ["--dim", "3"],
+        "reconstruct": ["--probs", str(counts)],
         "simulate": ["--dim", "3", "--state", str(state), "--shots", "10"],
         "radon": ["--in", str(grid), "--angles", "8"],
         "iradon": ["--in", str(sino)],
@@ -547,6 +555,69 @@ def test_cli_rejects_unusable_input(tmp_path, capsys, case, code, error):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"{error}:")
     assert not (tmp_path / "out.json").exists()
+
+
+# The input flag of each command that reads files of more than one kind.
+_KIND_ARGV = {
+    "reconstruct": ["reconstruct", "--probs"],
+    "wigner": ["wigner", "--grid", "64", "--xmax", "6", "--state"],
+    "quads": ["quads", "--angles", "4", "--state"],
+}
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("command, reader, what", [
+    ("reconstruct", "read_grid", "a measurement table"),
+    ("wigner", "read_count_table", "a continuous state"),
+    ("quads", "read_count_table", "a continuous state"),
+])
+def test_cli_rejects_wrong_kind(tmp_path, capsys, command, reader, what, version):
+    """The kind is checked before the format: a wrong kind is a usage error
+    even in a file of another format version."""
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_text(json.dumps(_document(reader, format=version)))
+    assert main([*_KIND_ARGV[command], str(path), "--out", str(out)]) == 2
+    kind = _VALID[reader][0]
+    assert capsys.readouterr().err == f"UsageError: {path}: kind {kind!r} is not {what}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(_KIND_ARGV))
+def test_cli_rejects_file_without_kind(tmp_path, capsys, command):
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_text(json.dumps(_document("read_count_table", kind=None)))
+    assert main([*_KIND_ARGV[command], str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"FormatError: {path}: no 'kind' field\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, kind, loads", [
+    ("mub", None, 0), ("simulate", None, 1),
+    ("reconstruct", "counts", 1), ("reconstruct", "probabilities", 1),
+    ("wigner", "wavefunction", 1), ("wigner", "density", 1),
+    ("quads", "wavefunction", 1), ("quads", "density", 1),
+    ("radon", None, 1), ("iradon", None, 1), ("reconstruct-cv", None, 1),
+])
+def test_cli_parses_each_input_once(tmp_path, monkeypatch, capsys, command, kind, loads):
+    """A ``kind`` file replaces the input path, ``argv[2]``, of ``_valid_argv``."""
+    argv = _valid_argv(tmp_path, command)
+    other = tmp_path / "other.json"
+    if kind == "probabilities":
+        iof.write_probability_table(other, ProbabilityTable(dim=3, values=np.full((4, 3), 1 / 3)))
+    elif kind == "density":
+        x = np.linspace(-6, 6, 64)
+        iof.write_position_density(other, density_from_wavefunction(ground_state(x), -6, 6))
+    if other.exists():
+        argv[2] = str(other)
+    parse, calls = json.load, []
+
+    def counting_load(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(json, "load", counting_load)
+    assert main(argv) == 0
+    assert len(calls) == loads
 
 
 def test_cli_radon_iradon_round_trip(tmp_path):
