@@ -9,7 +9,12 @@ back-projection: each row is convolved with the band-limited ramp kernel
 (frequency response |r| with the correct discrete DC term) and smeared
 back across the plane. That filter is the
 stable realization of the principal-value kernel -P/(2 pi^2) (s* - s)^-2
-obtained from the polar r dr measure of the Fourier inversion.
+obtained from the polar r dr measure of the Fourier inversion. The smearing
+reads each filtered row's trigonometric interpolant, and by the
+Fourier-slice theorem the sum over angles is evaluated as one type-1
+non-uniform FFT of the row spectra (gridding with an "exponential of
+semicircle" kernel, Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput.
+41 (2019) C479), not as one interpolation per angle and pixel.
 
 Angles are sampled on [0, pi) only; the other half plane is redundant via
 the reflection identity marginal(-s, theta) = marginal(s, theta + pi).
@@ -24,6 +29,15 @@ import numpy as np
 from ._frozen import freeze_fields, require_finite
 from .errors import (FOOTPRINT_FLOOR, MASS_TOL, SPACING_TOL, EmptyGrid, IndexOutOfRange,
                      InsufficientAngles, InvariantViolation, MassOutsideAxis)
+
+# Back-projection by gridding: width (in grid steps) and oversampling of the
+# "exponential of semicircle" spreading kernel, and points per spreading pass.
+# At width 8 the kernel error stays below 1e-5 of the maximum down to two
+# angles, where width 6 reached 1.2e-4. A pass spreads 512 points, 32k kernel
+# weights, so its work arrays stay near 0.3 MB each.
+_ES_WIDTH = 8
+_ES_OVERSAMPLING = 1.5
+_SPREAD_CHUNK = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,6 +289,19 @@ def radon_forward(grid: PhaseSpaceGrid, thetas, n_s: int,
     return Sinogram(values=rows, thetas=thetas, s_min=-s_max, s_max=s_max)
 
 
+def _row_spectra(values: np.ndarray, s_min: float, ds: float, n: int):
+    """Spectra of rows sampled at s_k = s_min + k ds, zero-padded to n samples.
+
+    Returns ``(r, spectra)`` with r = 2 pi fftfreq(n, ds) in FFT order and
+    spectra[..., j] = ds sum_k row_k e^{i r_j s_k} along the last axis.
+    """
+    r = 2 * np.pi * np.fft.fftfreq(n, d=ds)
+    # s_k = s_min + k ds and r ds = 2 pi q / n, so the sum is n ifft
+    spectra = np.fft.ifft(values, n=n, axis=-1)
+    spectra *= (n * ds) * np.exp(1j * s_min * r)
+    return r, spectra
+
+
 def fourier_slice(sinogram: Sinogram, theta_index: int):
     """1D Fourier transform of one projection row.
 
@@ -287,11 +314,9 @@ def fourier_slice(sinogram: Sinogram, theta_index: int):
         raise IndexOutOfRange(
             f"theta_index {theta_index} outside [0, {sinogram.n_theta})"
         )
-    n_s, ds = sinogram.n_s, sinogram.ds
-    r = 2 * np.pi * np.fft.fftshift(np.fft.fftfreq(n_s, d=ds))
-    # s_k = s_min + k ds and r ds = 2 pi q / n_s, so the sum is n_s ifft
-    dft = np.fft.fftshift(n_s * np.fft.ifft(sinogram.values[theta_index]))
-    return r, ds * np.exp(1j * sinogram.s_min * r) * dft
+    r, values = _row_spectra(sinogram.values[theta_index], sinogram.s_min, sinogram.ds,
+                             sinogram.n_s)
+    return np.fft.fftshift(r), np.fft.fftshift(values)
 
 
 def _ramp_kernel_response(n_pad: int, ds: float, window: str | None) -> np.ndarray:
@@ -316,6 +341,68 @@ def _ramp_kernel_response(n_pad: int, ds: float, window: str | None) -> np.ndarr
     raise InvariantViolation(f"unknown filter window {window!r}")
 
 
+def _es_kernel(z: np.ndarray, beta: float) -> np.ndarray:
+    """"Exponential of semicircle" exp(beta (sqrt(1 - z^2) - 1)) on |z| <= 1."""
+    np.square(z, out=z)
+    np.subtract(1.0, z, out=z)
+    np.sqrt(z, out=z)
+    z -= 1.0
+    z *= beta
+    return np.exp(z, out=z)
+
+
+def _es_transform(m: np.ndarray, size: int, beta: float) -> np.ndarray:
+    """Transform of the spreading kernel at integer output offsets m.
+
+    On a grid of ``size`` steps h = 2 pi / size, a kernel phi((l h - k) / (w h / 2))
+    spread about k sums, by Poisson summation, to e^{i m k} times
+    (w/2) integral_{-1}^{1} phi(z) cos(m h w z / 2) dz, evaluated here by
+    Gauss-Legendre quadrature. Its nodes and weights come from the Jacobi
+    matrix of the Legendre recurrence (Golub-Welsch), which needs only
+    ``np.linalg``.
+    """
+    k = np.arange(1, 4 * _ES_WIDTH)
+    off = k / np.sqrt(4.0 * k * k - 1)
+    z, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    v = 2 * vectors[0] ** 2 * _es_kernel(z.copy(), beta)
+    return (_ES_WIDTH / 2) * (np.cos(np.outer(m, z * (np.pi * _ES_WIDTH / size))) @ v)
+
+
+def _spread(grid: np.ndarray, gx: np.ndarray, gp: np.ndarray, coef: np.ndarray, beta: float):
+    """Add coef times the kernel about (gx, gp), in grid steps, onto the
+    periodic ``grid``; the points must be sorted by gx.
+
+    Each chunk of points starts within a band of rows. A point's w x w
+    kernel block sits at one fixed table of offsets from its first cell
+    in a band w - 1 columns wider than the grid, so one ``bincount`` per
+    part (real, imaginary) sums the chunk over the band. The overflow
+    columns and the rows past the last one fold back onto the grid.
+    """
+    n_rows, n_cols = grid.shape
+    width = n_cols + _ES_WIDTH - 1
+    half = _ES_WIDTH / 2
+    offs = np.arange(_ES_WIDTH)
+    table = (offs[:, np.newaxis] * width + offs).ravel()
+    for lo in range(0, gx.size, _SPREAD_CHUNK):
+        x, p, c = (a[lo : lo + _SPREAD_CHUNK, np.newaxis] for a in (gx, gp, coef))
+        x0, p0 = np.ceil(x - half), np.ceil(p - half)
+        kx = _es_kernel((x0 + offs - x) / half, beta)
+        kp = _es_kernel((p0 + offs - p) / half, beta)
+        first = int(x0[0, 0])
+        band = int(x0[-1, 0]) - first + _ES_WIDTH
+        flat = ((x0.astype(np.intp) - first) * width + p0.astype(np.intp) % n_cols + table).ravel()
+        for part, weight in ((grid.real, c.real), (grid.imag, c.imag)):
+            block = np.einsum("ni,nj->nij", kx * weight, kp).ravel()
+            spread = np.bincount(flat, block, minlength=band * width).reshape(band, width)
+            spread[:, : _ES_WIDTH - 1] += spread[:, n_cols:]
+            for r in range(0, band, n_rows):
+                rows = spread[r : r + n_rows, :n_cols]
+                start = (first + r) % n_rows
+                head = min(len(rows), n_rows - start)
+                part[start : start + head] += rows[:head]
+                part[: len(rows) - head] += rows[head:]
+
+
 def inverse_radon(
     sinogram: Sinogram,
     nx: int | None = None,
@@ -332,11 +419,29 @@ def inverse_radon(
     half turn, ``n_theta * dtheta = pi``; other angle sets raise
     ``InsufficientAngles``. Default extents are the square inscribed in
     the projection circle, |x|, |p| <= s_max / sqrt(2); pass the original
-    grid extents to compare round trips. The rows cover only the disk
-    x^2 + p^2 <= min(|s_min|, |s_max|)^2: outside it a point sums rows cut
-    to zero past the s axis, and its value is biased; no error is raised.
-    ``window`` ("hann") apodizes the ramp for noisy rows; the default is
-    the plain band-limited ramp.
+    grid extents to compare round trips. Sizes below 2 raise ``EmptyGrid``;
+    a non-finite extent raises ``InvariantViolation`` naming it, as do
+    unordered extents. ``window`` ("hann") apodizes the ramp for noisy
+    rows; the default is the plain band-limited ramp.
+
+    Each row is zero-padded to n_pad >= 2 n_s samples and ramp-filtered,
+    and the back-projection reads the trigonometric interpolant of the
+    padded filtered row at x cos(theta) + p sin(theta); at the row's own
+    samples that is the filtered sample itself. By the Fourier-slice
+    theorem the sum over angles is one type-1 non-uniform FFT of the half
+    spectra (gridding): the samples at frequencies
+    (r cos(theta) dx, r sin(theta) dp), wrapped modulo 2 pi, are spread
+    with an "exponential of semicircle" kernel onto a 1.5x oversampled
+    grid, inverse-FFT'd, cropped and divided by the kernel's transform.
+    The kernel error is about 2e-8 of the maximum on resolved data at
+    180 angles and stays below 1e-5 of it down to two angles.
+
+    The rows cover only the disk x^2 + p^2 <= min(|s_min|, |s_max|)^2.
+    Outside it a point reads the ramp-filter tails of the padded row,
+    not zero, and its value is biased; no error is raised. The
+    interpolant is periodic in s with period n_pad * ds, at least twice
+    the s axis's length, so a point whose x cos(theta) + p sin(theta)
+    lies a whole period off the axis reads the row again.
 
     Of quadrature distributions this is the Wigner function
     (``cv_wigner.reconstruct_wigner``). Negative values are genuine and
@@ -352,29 +457,67 @@ def inverse_radon(
         raise InsufficientAngles(f"{sinogram.n_theta} angles spaced {delta:.6g} rad "
                                  "do not span the half turn [0, pi)")
 
-    half = min(abs(sinogram.s_min), abs(sinogram.s_max)) / np.sqrt(2.0)
-    x_min = -half if x_min is None else x_min
-    x_max = half if x_max is None else x_max
-    p_min = -half if p_min is None else p_min
-    p_max = half if p_max is None else p_max
-
     n_s = sinogram.n_s
     nx = n_s if nx is None else nx
     n_p = n_s if n_p is None else n_p
+    if nx < 2 or n_p < 2:
+        raise EmptyGrid(f"grid needs at least 2x2 samples, got {nx} x {n_p}")
+    half = min(abs(sinogram.s_min), abs(sinogram.s_max)) / np.sqrt(2.0)
+    extents = {"x_min": -half if x_min is None else x_min,
+               "x_max": half if x_max is None else x_max,
+               "p_min": -half if p_min is None else p_min,
+               "p_max": half if p_max is None else p_max}
+    for name, value in extents.items():
+        if not np.isfinite(value):
+            raise InvariantViolation(f"inverse_radon {name} must be finite, got {value}")
+    x_min, x_max, p_min, p_max = extents.values()
+    if not (x_min < x_max and p_min < p_max):
+        raise InvariantViolation("grid extents must be ordered")
+
     ds = sinogram.ds
     n_pad = 1 << int(np.ceil(np.log2(2 * n_s)))
-    H = _ramp_kernel_response(n_pad, ds, window)
-    rows = np.zeros((sinogram.n_theta, n_pad))
-    rows[:, :n_s] = sinogram.values
-    filtered = np.fft.ifft(np.fft.fft(rows, axis=1) * H[None, :], axis=1).real[:, :n_s]
-    filtered *= ds
+    n_half = n_pad // 2 + 1
+    # the real rows' half spectra j = 0 .. n_pad/2 carry weights 1, 2, ..., 2, 1
+    weights = np.full(n_half, 2 * delta / n_pad)
+    weights[[0, -1]] /= 2
+    weights *= _ramp_kernel_response(n_pad, ds, window)[:n_half]
+    r, spectra = _row_spectra(sinogram.values, sinogram.s_min, ds, n_pad)
+    r = r[:n_half]
+    # the filtered row's interpolant is (1/n_pad) sum_j H_j conj(spectrum_j) e^{i r_j s};
+    # fold in its phase at the output sample nearest the grid's centre
+    dx, dp = (x_max - x_min) / (nx - 1), (p_max - p_min) / (n_p - 1)
+    cos, sin = np.cos(sinogram.thetas), np.sin(sinogram.thetas)
+    centre = (x_min + (nx // 2) * dx) * cos + (p_min + (n_p // 2) * dp) * sin
+    coef = np.conj(spectra[:, :n_half])
+    del spectra
+    phase = np.multiply.outer(centre, 1j * r)
+    coef *= np.exp(phase, out=phase)
+    del phase
+    coef *= weights
 
-    s_axis = sinogram.s
-    X, P = np.meshgrid(
-        np.linspace(x_min, x_max, nx), np.linspace(p_min, p_max, n_p), indexing="ij"
-    )
-    acc = np.zeros((nx, n_p))
-    for th, frow in zip(sinogram.thetas, filtered):
-        acc += np.interp(X * np.cos(th) + P * np.sin(th), s_axis, frow, left=0.0, right=0.0)
-    acc *= delta
+    # the sample m steps from the centre sees e^{i m r cos(theta) dx}: a 2 pi
+    # periodic phase, so the frequencies wrap onto the oversampled grids
+    # (and the Nyquist term, at r = -pi/ds in FFT order, keeps its real part)
+    mx, mp = (max(2 * int(np.ceil(_ES_OVERSAMPLING * n / 2)), 2 * _ES_WIDTH) for n in (nx, n_p))
+    gx = np.outer(cos, r * (dx * mx / (2 * np.pi))).ravel()
+    gx %= mx
+    order = np.argsort(gx)
+    gx = gx[order]
+    gp = np.outer(sin, r * (dp * mp / (2 * np.pi))).ravel()
+    gp %= mp
+    gp = gp[order]
+    coef = coef.ravel()[order]
+    del order
+    beta = 0.97 * np.pi * (1 - 1 / (2 * _ES_OVERSAMPLING)) * _ES_WIDTH
+    grid = np.zeros((mx, mp), dtype=complex)
+    _spread(grid, gx, gp, coef, beta)
+    del gx, gp, coef  # these dels keep the traced peak at 256^2 near 5.4 MB
+    # per-axis transforms in place; ifft2 with out= returns wrong values on numpy 2.4
+    np.fft.ifft(grid, axis=0, out=grid)
+    np.fft.ifft(grid, axis=1, out=grid)
+    m = np.arange(-(nx // 2), nx - nx // 2)
+    q = np.arange(-(n_p // 2), n_p - n_p // 2)
+    acc = grid.real[np.ix_(m % mx, q % mp)]
+    acc *= (mx / _es_transform(m, mx, beta))[:, np.newaxis]
+    acc *= mp / _es_transform(q, mp, beta)
     return PhaseSpaceGrid(values=acc, x_min=x_min, x_max=x_max, p_min=p_min, p_max=p_max)

@@ -13,7 +13,10 @@ map, inversion and overlap moduli, so no code picks a route by type.
 No module calls ``eigvalsh``: positivity is a yes/no question, answered by
 a Cholesky factorization; ``project_to_physical`` needs the eigenvectors
 and keeps ``eigh``. Only ``io_formats._parse`` calls ``json.load`` or
-``json.loads``, so each input file is parsed once, on one path.
+``json.loads``, so each input file is parsed once, on one path. No module
+calls anything at import, outside decorators and the ``__main__`` guard:
+tables, kernels and grids are built per call, so importing the package
+costs only its definitions.
 """
 
 import ast
@@ -142,3 +145,26 @@ def test_json_is_parsed_only_in_parse():
     ]
     assert [(name, parse.lineno <= line <= parse.end_lineno) for name, line in hits] == [
         ("io_formats.py", True)], hits
+
+
+def test_no_call_runs_at_import():
+    """Function bodies run when called; module statements, class bodies and
+    default values run at import and may call nothing but decorators."""
+    hits = []
+    for name, tree in _trees():
+        deferred = set()
+        for node in ast.walk(tree):
+            if _is_main_guard(node):
+                parts = [node]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                parts = node.body + node.decorator_list
+            elif isinstance(node, ast.ClassDef):
+                parts = node.decorator_list
+            elif isinstance(node, ast.Lambda):
+                parts = [node.body]
+            else:
+                continue
+            deferred |= {id(sub) for part in parts for sub in ast.walk(part)}
+        hits += [f"{name}:{node.lineno} {ast.unparse(node)}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and id(node) not in deferred]
+    assert MODULES and not hits, hits

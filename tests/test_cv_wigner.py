@@ -418,7 +418,7 @@ def test_reconstruct_density_continuous_ground_state(rho0):
 
 def test_reconstruct_density_continuous_stays_inside_the_disk():
     """A resolved cat state: W is integrated only where x^2 + p^2 <= reach^2,
-    so the raw trace is 1 to 1e-4 and the relative HS error near 2.5e-3.
+    so the raw trace is 1 to 1e-4 and the relative HS error near 1e-7.
     Integrating the corners of the p range outside the disk gave a raw
     trace of 1.0087 and an error of 1.1e-2."""
     def psi(x):
@@ -444,6 +444,35 @@ def test_reconstruct_density_continuous_rejects_zero_trace():
                     thetas=np.arange(8) * np.pi / 8, s_min=-8, s_max=8)
     with pytest.raises(InvariantViolation, match="trace integral 0.0"):
         reconstruct_density_continuous(sino)
+
+
+@pytest.mark.parametrize("state", [ground_state, first_excited_state])
+def test_reconstructed_wigner_matches_the_direct_transform_inside_the_disk(state):
+    """n = 256 on [-8, 8] at 180 angles: the back-projection reads each
+    filtered row's trigonometric interpolant, so inside the projection disk
+    W matches the direct transform to 1e-4 (linear interpolation of the
+    rows left 1.2e-2 over the whole grid)."""
+    rho = density_from_wavefunction(state(X8), -8.0, 8.0)
+    quads = quadrature_sinogram(rho, np.arange(180) * np.pi / 180)
+    W_rec = reconstruct_wigner(quads, x_min=-8, x_max=8, p_min=-8, p_max=8)
+    W_dir = wigner_from_density(rho)
+    inside = W_dir.x[:, None] ** 2 + W_dir.p[None, :] ** 2 <= min(-quads.s_min, quads.s_max) ** 2
+    assert rel_l2(W_rec.values[inside], W_dir.values[inside]) <= 1e-4
+
+
+def test_reconstructed_cat_density_is_accurate_to_1e_4():
+    """Two coherent states at +-(1.2, 0.8) with a relative phase, as in the
+    cv-quads-cli benchmark: relative HS error at most 1e-4 (2.6e-3 when the
+    back-projection interpolated the rows linearly)."""
+    def psi(x):
+        def coherent(x0, p0):
+            return np.pi**-0.25 * np.exp(-((x - x0) ** 2) / 2 + 1j * p0 * x)
+        return coherent(1.2, 0.8) + np.exp(0.7j) * coherent(-1.2, -0.8)
+
+    rho = density_from_wavefunction(psi(X8), -8.0, 8.0)
+    rec, _ = reconstruct_density_continuous(quadrature_sinogram(rho, np.arange(180) * np.pi / 180))
+    truth = density_from_wavefunction(psi(rec.x), rec.x_min, rec.x_max).values
+    assert np.linalg.norm(rec.values - truth) / np.linalg.norm(truth) <= 1e-4
 
 
 def test_route_equivalence_compact(rho0):
