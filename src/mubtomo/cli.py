@@ -47,15 +47,16 @@ def _count(minimum: int):
     return count
 
 
-def _finite(text: str) -> float:
-    """argparse ``type`` of an extent flag: a finite float, so an infinite or
-    NaN extent is a usage error rather than a failure inside numpy."""
+def _half_extent(text: str) -> float:
+    """argparse ``type`` of a half-extent flag: a finite positive float, so an
+    infinite, NaN, zero or negative extent is a usage error naming the flag
+    rather than a failure inside the library."""
     try:
         value = float(text)
     except ValueError:
         value = np.nan
-    if not np.isfinite(value):
-        raise UsageError(f"must be a finite number, got {text!r}")
+    if not 0 < value < np.inf:
+        raise UsageError(f"must be a finite positive number, got {text!r}")
     return value
 
 
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angles", type=_count(1), required=True,
                    help="number of uniform angles on [0, pi)")
     p.add_argument("--ns", type=_count(0), default=None, help="samples per projection")
-    p.add_argument("--smax", type=_finite, default=None)
+    p.add_argument("--smax", type=_half_extent, default=None)
     p.add_argument("--csv", default=None, help="also export rows as CSV")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_radon)
@@ -220,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--nx", type=_count(0), default=None)
     p.add_argument("--np", type=_count(0), default=None)
-    p.add_argument("--xmax", type=_finite, default=None)
-    p.add_argument("--pmax", type=_finite, default=None)
+    p.add_argument("--xmax", type=_half_extent, default=None)
+    p.add_argument("--pmax", type=_half_extent, default=None)
     p.add_argument("--window", choices=["hann"], default=None,
                    help="apodize the ramp filter (for noisy rows)")
     p.add_argument("--csv", default=None)
@@ -231,9 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wigner", help="Wigner function of a continuous state")
     p.add_argument("--state", required=True, help="density or wavefunction JSON")
     p.add_argument("--grid", type=_count(0), required=True, help="samples per axis")
-    p.add_argument("--xmax", type=_finite, required=True, help="half extent of the axis")
+    p.add_argument("--xmax", type=_half_extent, required=True, help="half extent of the axis")
     p.add_argument("--np", type=_count(0), default=None)
-    p.add_argument("--pmax", type=_finite, default=None)
+    p.add_argument("--pmax", type=_half_extent, default=None)
     p.add_argument("--csv", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_wigner)
@@ -249,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="position density matrix from quadratures")
     p.add_argument("--quads", required=True, help="sinogram JSON of quadrature rows")
     p.add_argument("--nx", type=_count(0), default=None)
-    p.add_argument("--xmax", type=_finite, default=None)
+    p.add_argument("--xmax", type=_half_extent, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_reconstruct_cv)
 

@@ -55,6 +55,7 @@ from .errors import (
     SPACING_TOL,
     AliasedGrid,
     DegenerateAngle,
+    EmptyGrid,
     InvariantViolation,
     MassOutsideAxis,
     MomentumOutsideGrid,
@@ -155,7 +156,9 @@ def wigner_from_density(
     are exact lattice points, so the quadrature is a plain rectangle rule
     at the full x resolution (spectrally accurate for decaying states).
     The p axis must stay below the Nyquist bound pi/(2 dx), or the
-    transform variable 2p aliases (AliasedGrid).
+    transform variable 2p aliases (AliasedGrid). Fewer than 2 momentum
+    samples raise EmptyGrid, and a p_max that is not finite and positive
+    raises InvariantViolation naming it.
     """
     x = rho.x
     n = rho.n
@@ -164,6 +167,11 @@ def wigner_from_density(
         n_p = n
     if p_max is None:
         p_max = max(abs(rho.x_min), abs(rho.x_max))
+    if n_p < 2:
+        raise EmptyGrid(f"wigner_from_density needs n_p >= 2 momentum samples, got {n_p}")
+    if not 0 < p_max < np.inf:
+        raise InvariantViolation(f"wigner_from_density p_max must be finite and positive, "
+                                 f"got {p_max}")
     nyquist = np.pi / (2 * dx)
     if p_max > nyquist * (1 + ROUNDING_TOL):
         raise AliasedGrid(
@@ -180,7 +188,7 @@ def wigner_from_density(
     phase = np.exp(2j * np.outer(x, p_axis))
     W = (dx / np.pi) * phase * (H @ E)
 
-    residue = float(np.max(np.abs(W.imag), initial=0.0))  # an empty p axis goes on to EmptyGrid
+    residue = float(np.max(np.abs(W.imag)))
     if residue > IMAG_RESIDUE_TOL:
         raise InvariantViolation(
             f"Wigner transform left imaginary residue {residue:.3g}"
@@ -323,8 +331,8 @@ def _quadrature_rows(
         raise InvariantViolation(f"theta = {thetas[bad][0]} outside [0, pi)")
     x = rho.x
     s = x if s is None else np.asarray(s, dtype=float)
-    steps = np.diff(s)
-    if (s.size < 2 or np.any(steps <= 0)
+    if (s.ndim != 1 or s.size < 2 or not np.all(np.isfinite(s))
+            or np.any((steps := np.diff(s)) <= 0)
             or np.max(np.abs(steps - steps[0])) > SPACING_TOL * steps[0]):
         raise InvariantViolation("s axis must be uniformly increasing")
 
@@ -418,7 +426,8 @@ def reconstruct_density_continuous(
     evaluated pointwise. The p integral runs over the disk
     x^2 + p^2 <= reach^2 that the rows cover, reach = min(|s_min|, |s_max|),
     with W zero outside it; an ``x_max`` at or beyond reach leaves rows
-    with no point in the disk and raises OutsideProjectionDisk.
+    with no point in the disk and raises OutsideProjectionDisk, and one
+    that is not finite and positive raises InvariantViolation naming it.
 
     Returns ``(rho, raw_trace)`` where raw_trace is the trace integral
     before the final renormalization; it should sit near 1 for
@@ -431,6 +440,9 @@ def reconstruct_density_continuous(
     n_x = (quads.n_s + 1) // 2 if n_x is None else int(n_x)
     if n_x < 2:
         raise InvariantViolation("n_x must be at least 2")
+    if not 0 < x_max < np.inf:
+        raise InvariantViolation(f"reconstruct_density_continuous x_max must be finite and "
+                                 f"positive, got {x_max}")
     if x_max >= reach:
         raise OutsideProjectionDisk(f"x_max = {x_max:.6g} is not inside the projection disk of "
                                     f"radius {reach:.6g}; rows at |x| >= {reach:.6g} hold no "

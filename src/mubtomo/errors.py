@@ -21,7 +21,8 @@ import argparse
 # alias limit pass.
 ROUNDING_TOL = 1e-12
 # Narrowest cell footprint of the forward Radon projector, in units of ds;
-# keeps the footprint CDF finite at theta = 0 and pi/2, where one side is 0.
+# keeps the 1/(2ab) of the footprint share finite at theta = 0 and pi/2,
+# where one side is 0.
 FOOTPRINT_FLOOR = 1e-12
 # Most negative eigenvalue a qudit density matrix may have; checked as the
 # existence of a Cholesky factor of rho - EIGENVALUE_FLOOR * I, which rounding

@@ -77,7 +77,7 @@ def test_cli_count_flags_are_bounded():
 
 
 def test_cli_has_no_bare_float_flags():
-    """A bare float lets inf and nan through; extents use ``_finite``."""
+    """A bare float lets inf, nan and 0 through; half-extents use ``_half_extent``."""
     tree = dict(_trees())["cli.py"]
     hits = [
         f"cli.py:{node.lineno} {ast.unparse(node)}"

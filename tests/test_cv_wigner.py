@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -99,7 +100,15 @@ def test_wigner_nyquist_gate(rho0):
         wigner_from_density(rho0, p_max=30.0)  # beyond pi / (2 dx) ~ 25
 
 
-@pytest.mark.parametrize("n_p", [0, 1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -5.0])
+def test_wigner_names_a_bad_p_max(rho0, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation, match=r"^wigner_from_density p_max must be finite"):
+            wigner_from_density(rho0, p_max=bad)
+
+
+@pytest.mark.parametrize("n_p", [0, 1, -1])
 def test_wigner_needs_two_momentum_samples(rho0, n_p):
     with pytest.raises(EmptyGrid):
         wigner_from_density(rho0, n_p=n_p)
@@ -312,6 +321,11 @@ def test_quadrature_rejects_bad_axes(rho0):
             quadrature_distribution(rho0, theta, s)
     with pytest.raises(InvariantViolation, match="uniformly increasing"):
         quadrature_sinogram(rho0, [0.0, np.pi / 2], s)
+    for bad in ([0.0, np.inf], [0.0, np.nan, 2.0], np.linspace(-8.0, 8.0, 150).reshape(2, 75)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolation, match="uniformly increasing"):
+                quadrature_distribution(rho0, 0.7, bad)
     with pytest.raises(InvariantViolation, match="nonempty"):
         quadrature_sinogram(rho0, [])
 
@@ -437,6 +451,16 @@ def test_x_max_outside_the_disk_is_named(rho0, factor):
     quads = quadrature_sinogram(rho0, np.arange(16) * np.pi / 16)
     with pytest.raises(OutsideProjectionDisk, match="projection disk of radius 8"):
         reconstruct_density_continuous(quads, x_max=8.0 * factor)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_reconstruct_density_continuous_names_a_bad_x_max(rho0, bad):
+    quads = quadrature_sinogram(rho0, np.arange(16) * np.pi / 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation,
+                           match=r"^reconstruct_density_continuous x_max must be finite"):
+            reconstruct_density_continuous(quads, x_max=bad)
 
 
 def test_reconstruct_density_continuous_rejects_zero_trace():

@@ -499,7 +499,7 @@ def test_cli_rejects_non_finite_extent_flags(tmp_path, capsys, command, flag):
     assert main(argv) == 0  # the inputs are valid without the flag
     (tmp_path / "out.json").unlink()
     capsys.readouterr()
-    for value in ("inf", "-inf", "nan"):
+    for value in ("inf", "-inf", "nan", "0", "-1"):
         code = main(argv + [flag, value])
         err = capsys.readouterr().err
         assert code == 2
