@@ -1,8 +1,9 @@
-"""Read-only, finite array fields and finite scalar fields for the frozen dataclasses."""
+"""Read-only, finite array fields for the frozen dataclasses, and the rule
+for a uniform sample axis that they and the functions building one share."""
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import EmptyGrid, InvariantViolation
 
 
 def finite_array(value, dtype, what: str) -> np.ndarray:
@@ -25,10 +26,17 @@ def freeze_fields(instance, dtype=None, **fields):
         object.__setattr__(instance, name, value)
 
 
-def require_finite(instance, *names):
-    """Raise ``InvariantViolation`` naming the first of the scalar fields
-    ``names`` that is not finite."""
-    for name in names:
-        value = getattr(instance, name)
+def axis_step(what: str, n: int, lo: float, hi: float) -> float:
+    """Step of the uniform axis of ``n`` samples from ``lo`` to ``hi``, both
+    included. An end that is not finite raises ``InvariantViolation`` naming
+    ``<what>_min`` or ``<what>_max``, fewer than 2 samples ``EmptyGrid``, and
+    ends not in increasing order ``InvariantViolation``."""
+    for end, value in (("min", lo), ("max", hi)):
         if not np.isfinite(value):
-            raise InvariantViolation(f"{type(instance).__name__}.{name} must be finite, got {value}")
+            raise InvariantViolation(f"{what}_{end} must be finite, got {value}")
+    if n < 2:
+        raise EmptyGrid(f"{what} axis needs at least 2 samples, got {n}")
+    if not lo < hi:
+        raise InvariantViolation(f"grid extents must be ordered, got {what}_min = {lo} "
+                                 f"and {what}_max = {hi}")
+    return (hi - lo) / (n - 1)

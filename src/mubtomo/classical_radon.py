@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import freeze_fields, require_finite
-from .errors import (FOOTPRINT_FLOOR, MASS_TOL, SPACING_TOL, EmptyGrid, IndexOutOfRange,
-                     InsufficientAngles, InvariantViolation, MassOutsideAxis)
+from ._frozen import axis_step, freeze_fields
+from .errors import (FOOTPRINT_FLOOR, MASS_TOL, SPACING_TOL, IndexOutOfRange, InsufficientAngles,
+                     InvariantViolation, MassOutsideAxis)
 
 # Back-projection by gridding: width (in grid steps) and oversampling of the
 # "exponential of semicircle" spreading kernel, and points per spreading pass.
@@ -57,11 +57,10 @@ class PhaseSpaceGrid:
 
     def __post_init__(self):
         freeze_fields(self, float, values=self.values)
-        if self.values.ndim != 2 or min(self.values.shape) < 2:
-            raise EmptyGrid(f"grid needs at least 2x2 samples, got shape {self.values.shape}")
-        require_finite(self, "x_min", "x_max", "p_min", "p_max")
-        if not (self.x_min < self.x_max and self.p_min < self.p_max):
-            raise InvariantViolation("grid extents must be ordered")
+        if self.values.ndim != 2:
+            raise InvariantViolation(f"grid values must be 2D, got shape {self.values.shape}")
+        axis_step("PhaseSpaceGrid.x", self.nx, self.x_min, self.x_max)
+        axis_step("PhaseSpaceGrid.p", self.n_p, self.p_min, self.p_max)
 
     @property
     def nx(self) -> int:
@@ -106,14 +105,12 @@ class Sinogram:
         if self.values.ndim != 2 or self.values.shape[:1] != self.thetas.shape:
             raise InvariantViolation(f"got values of shape {self.values.shape} "
                                      f"for angles of shape {self.thetas.shape}")
-        if self.n_theta < 1 or self.n_s < 2:
-            raise InvariantViolation("sinogram needs at least one angle and two s samples")
-        require_finite(self, "s_min", "s_max")
+        if self.n_theta < 1:
+            raise InvariantViolation("sinogram needs at least one angle")
+        ds = axis_step("Sinogram.s", self.n_s, self.s_min, self.s_max)
         if np.any(self.thetas < 0.0) or np.any(self.thetas >= np.pi):
             raise InvariantViolation("angles must lie in [0, pi)")
-        if not self.s_min < self.s_max:
-            raise InvariantViolation("s extents must be ordered")
-        masses = self.values.sum(axis=1) * self.ds
+        masses = self.values.sum(axis=1) * ds
         mean = float(np.mean(masses))
         if np.max(np.abs(masses - mean)) > MASS_TOL * max(1.0, abs(mean)):
             raise InvariantViolation("projection rows carry inconsistent total mass")
@@ -184,10 +181,9 @@ def _project_rows(grid: PhaseSpaceGrid, thetas, n_s: int, s_max: float) -> np.nd
     ``MassOutsideAxis`` when a row misses part of ``grid.mass()`` because
     s_max is too small.
     """
-    if n_s < 2 or not 0 < s_max < np.inf or not np.all(np.isfinite(thetas)):
-        raise InvariantViolation(f"need n_s >= 2, finite s_max > 0 and finite angles, "
-                                 f"got n_s = {n_s}, s_max = {s_max}")
-    ds = 2.0 * s_max / (n_s - 1)
+    if not 0 < s_max < np.inf or not np.all(np.isfinite(thetas)):
+        raise InvariantViolation(f"need finite s_max > 0 and finite angles, got s_max = {s_max}")
+    ds = axis_step("projection s", n_s, -s_max, s_max)
     mass = (grid.values * (grid.dx * grid.dp)).ravel()
     total = grid.mass()
     xb, pb = grid.x / ds, grid.p / ds
@@ -447,19 +443,11 @@ def inverse_radon(
     n_s = sinogram.n_s
     nx = n_s if nx is None else nx
     n_p = n_s if n_p is None else n_p
-    if nx < 2 or n_p < 2:
-        raise EmptyGrid(f"grid needs at least 2x2 samples, got {nx} x {n_p}")
     half = min(abs(sinogram.s_min), abs(sinogram.s_max)) / np.sqrt(2.0)
-    extents = {"x_min": -half if x_min is None else x_min,
-               "x_max": half if x_max is None else x_max,
-               "p_min": -half if p_min is None else p_min,
-               "p_max": half if p_max is None else p_max}
-    for name, value in extents.items():
-        if not np.isfinite(value):
-            raise InvariantViolation(f"inverse_radon {name} must be finite, got {value}")
-    x_min, x_max, p_min, p_max = extents.values()
-    if not (x_min < x_max and p_min < p_max):
-        raise InvariantViolation("grid extents must be ordered")
+    x_min, p_min = (-half if lo is None else lo for lo in (x_min, p_min))
+    x_max, p_max = (half if hi is None else hi for hi in (x_max, p_max))
+    dx = axis_step("inverse_radon x", nx, x_min, x_max)
+    dp = axis_step("inverse_radon p", n_p, p_min, p_max)
 
     ds = sinogram.ds
     n_pad = 1 << int(np.ceil(np.log2(2 * n_s)))
@@ -470,7 +458,6 @@ def inverse_radon(
     weights *= _ramp_kernel_response(n_pad, ds, window)[: r.size]
     # the filtered row's interpolant is (ds/n_pad) sum_j H_j F_j e^{i r_j (s - s_min)}
     # with F = rfft(row); fold in its phase at the output sample nearest the grid's centre
-    dx, dp = (x_max - x_min) / (nx - 1), (p_max - p_min) / (n_p - 1)
     cos, sin = np.cos(sinogram.thetas), np.sin(sinogram.thetas)
     centre = (x_min + (nx // 2) * dx) * cos + (p_min + (n_p // 2) * dp) * sin
     coef = np.fft.rfft(sinogram.values, n=n_pad)

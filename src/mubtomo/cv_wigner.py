@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._frozen import freeze_fields, require_finite
+from ._frozen import axis_step, freeze_fields
 from .classical_radon import PhaseSpaceGrid, Sinogram, inverse_radon
 from .errors import (
     CV_HERMITIAN_TOL,
@@ -55,7 +55,6 @@ from .errors import (
     SPACING_TOL,
     AliasedGrid,
     DegenerateAngle,
-    EmptyGrid,
     InvariantViolation,
     MassOutsideAxis,
     MomentumOutsideGrid,
@@ -83,11 +82,9 @@ class PositionDensityMatrix:
 
     def __post_init__(self):
         freeze_fields(self, complex, values=self.values)
-        if self.values.ndim != 2 or self.n < 2 or self.n != self.values.shape[1]:
+        if self.values.ndim != 2 or self.n != self.values.shape[1]:
             raise InvariantViolation(f"expected a square sample matrix, got {self.values.shape}")
-        require_finite(self, "x_min", "x_max")
-        if not self.x_min < self.x_max:
-            raise InvariantViolation("x extents must be ordered")
+        axis_step("PositionDensityMatrix.x", self.n, self.x_min, self.x_max)
         if np.max(np.abs(self.values - self.values.conj().T)) > CV_HERMITIAN_TOL:
             raise NonHermitianInput(
                 f"<x|rho|x'> must be Hermitian under conjugate transposition "
@@ -131,9 +128,9 @@ def density_from_wavefunction(
 ) -> PositionDensityMatrix:
     """Pure-state density <x|psi><psi|x'>, renormalized on the grid."""
     psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1 or psi.size < 2:
-        raise InvariantViolation("wavefunction must be a 1D array of length >= 2")
-    dx = (x_max - x_min) / (psi.size - 1)
+    if psi.ndim != 1:
+        raise InvariantViolation(f"wavefunction must be a 1D array, got shape {psi.shape}")
+    dx = axis_step("density_from_wavefunction x", psi.size, x_min, x_max)
     norm = np.sum(np.abs(psi) ** 2) * dx
     if norm <= 0:
         raise InvariantViolation("wavefunction has zero norm")
@@ -167,11 +164,10 @@ def wigner_from_density(
         n_p = n
     if p_max is None:
         p_max = max(abs(rho.x_min), abs(rho.x_max))
-    if n_p < 2:
-        raise EmptyGrid(f"wigner_from_density needs n_p >= 2 momentum samples, got {n_p}")
     if not 0 < p_max < np.inf:
         raise InvariantViolation(f"wigner_from_density p_max must be finite and positive, "
                                  f"got {p_max}")
+    axis_step("wigner_from_density p", n_p, -p_max, p_max)
     nyquist = np.pi / (2 * dx)
     if p_max > nyquist * (1 + ROUNDING_TOL):
         raise AliasedGrid(
@@ -185,8 +181,7 @@ def wigner_from_density(
     valid = (anti >= 0) & (anti < n)
     H = np.where(valid, rho.values[idx[None, :], np.clip(anti, 0, n - 1)], 0.0)
     E = np.exp(-2j * np.outer(x, p_axis))
-    phase = np.exp(2j * np.outer(x, p_axis))
-    W = (dx / np.pi) * phase * (H @ E)
+    W = (dx / np.pi) * E.conj() * (H @ E)
 
     residue = float(np.max(np.abs(W.imag)))
     if residue > IMAG_RESIDUE_TOL:
@@ -427,7 +422,8 @@ def reconstruct_density_continuous(
     x^2 + p^2 <= reach^2 that the rows cover, reach = min(|s_min|, |s_max|),
     with W zero outside it; an ``x_max`` at or beyond reach leaves rows
     with no point in the disk and raises OutsideProjectionDisk, and one
-    that is not finite and positive raises InvariantViolation naming it.
+    that is not finite and positive raises InvariantViolation naming it;
+    n_x below 2 raises EmptyGrid.
 
     Returns ``(rho, raw_trace)`` where raw_trace is the trace integral
     before the final renormalization; it should sit near 1 for
@@ -438,11 +434,10 @@ def reconstruct_density_continuous(
     reach = min(abs(quads.s_min), abs(quads.s_max))
     x_max = reach / np.sqrt(2.0) if x_max is None else float(x_max)
     n_x = (quads.n_s + 1) // 2 if n_x is None else int(n_x)
-    if n_x < 2:
-        raise InvariantViolation("n_x must be at least 2")
     if not 0 < x_max < np.inf:
         raise InvariantViolation(f"reconstruct_density_continuous x_max must be finite and "
                                  f"positive, got {x_max}")
+    du = axis_step("reconstruct_density_continuous x", n_x, -x_max, x_max)
     if x_max >= reach:
         raise OutsideProjectionDisk(f"x_max = {x_max:.6g} is not inside the projection disk of "
                                     f"radius {reach:.6g}; rows at |x| >= {reach:.6g} hold no "
@@ -450,7 +445,6 @@ def reconstruct_density_continuous(
 
     # called as inverse_radon, the name perfbench's tracer rebinds
     W = inverse_radon(quads, 2 * n_x - 1, x_min=-x_max, x_max=x_max, p_min=-reach, p_max=reach)
-    du = 2 * x_max / (n_x - 1)
     offsets = np.arange(-(n_x - 1), n_x) * du  # v - u on the coarse grid
     E = np.exp(-1j * np.outer(W.p, offsets)) * W.dp
     inside = W.x[:, np.newaxis] ** 2 + W.p[np.newaxis, :] ** 2 <= reach**2

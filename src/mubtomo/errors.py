@@ -92,8 +92,8 @@ class InvariantViolation(MubTomoError, ValueError):
     """A domain type received data breaking one of its invariants."""
 
 
-class EmptyGrid(MubTomoError):
-    """Phase-space grid with fewer than two samples per axis."""
+class EmptyGrid(InvariantViolation):
+    """A uniform sample axis (x, p or s) with fewer than two samples."""
 
 
 class InsufficientAngles(MubTomoError, ValueError):

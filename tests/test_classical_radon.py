@@ -421,6 +421,8 @@ def test_hann_window_accepted():
                         window="hann")
     # apodization trades resolution for noise damping; stays a fair copy
     assert rel_l2(rec.values, grid.values) <= 0.08
+    with pytest.raises(InvariantViolation, match="unknown filter window 'bogus'"):
+        inverse_radon(sino, 96, 96, window="bogus")
 
 
 def test_nonuniform_angles_rejected():
@@ -582,6 +584,8 @@ def test_sinogram_rejects_angles_outside_range():
 def test_sinogram_rejects_empty_rows():
     with pytest.raises(InvariantViolation, match="at least one angle"):
         Sinogram(values=np.zeros((0, 4)), thetas=[], s_min=-1.0, s_max=1.0)
+    with pytest.raises(InvariantViolation, match="for angles of shape"):
+        Sinogram(values=np.ones((3, 4)), thetas=_angles(2), s_min=-1.0, s_max=1.0)
 
 
 def test_grid_properties():

@@ -139,6 +139,8 @@ def test_kernel_degenerate_angle():
         quadrature_kernel(0.0, 0.0, 0.0)
     with pytest.raises(DegenerateAngle):
         quadrature_kernel(0.0, 0.0, np.pi)
+    with pytest.raises(DegenerateAngle):
+        kernel_overlap(0.5, 0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("dtheta", [0.7, np.pi / 2])
@@ -522,6 +524,8 @@ def test_position_density_validation():
         PositionDensityMatrix(values=bad, x_min=-6, x_max=6)
     with pytest.raises(InvariantViolation):
         PositionDensityMatrix(values=rho * 2.0, x_min=-6, x_max=6)
+    with pytest.raises(InvariantViolation, match="square sample matrix"):
+        PositionDensityMatrix(values=rho[:, :-1], x_min=-6, x_max=6)
 
 
 def test_density_from_wavefunction_normalizes():
@@ -529,3 +533,7 @@ def test_density_from_wavefunction_normalizes():
     rho = density_from_wavefunction(3.7 * ground_state(x), -6, 6)
     trace = np.sum(np.real(np.diag(rho.values))) * rho.dx
     assert abs(trace - 1.0) <= 1e-12
+    with pytest.raises(InvariantViolation, match="1D array"):
+        density_from_wavefunction(np.ones((2, 64)), -6, 6)
+    with pytest.raises(InvariantViolation, match="zero norm"):
+        density_from_wavefunction(np.zeros(128), -6, 6)

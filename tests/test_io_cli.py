@@ -4,6 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import ISOTROPIC, gaussian_mixture_grid, rel_l2
 from mubtomo import io_formats as iof
@@ -90,6 +93,29 @@ def test_grid_and_sinogram_round_trips(tmp_path):
     assert np.array_equal(back.thetas, sino.thetas)
 
 
+# signed zeros, the least subnormal, the largest subnormal, the least normal, the extremes
+_EDGE_FLOATS = np.array([-0.0, 0.0, 5e-324, -2.225073858507201e-308, np.finfo(float).tiny,
+                         np.finfo(float).max, -np.finfo(float).max, 1.0 / 3.0])
+_ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=arrays(float, array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=5),
+                     elements=_ANY_FINITE),
+       pairs=arrays(float, st.tuples(st.integers(2, 10), st.just(2)), elements=_ANY_FINITE))
+@example(values=_EDGE_FLOATS.reshape(2, 4), pairs=_EDGE_FLOATS.reshape(4, 2))
+def test_grid_and_wavefunction_round_trips_are_bit_exact(tmp_path_factory, values, pairs):
+    """Any finite float64 survives a write/read cycle bit for bit; the bits
+    are compared, since array_equal does not tell -0.0 from 0.0."""
+    path = tmp_path_factory.mktemp("bits") / "doc.json"
+    iof.write_grid(path, PhaseSpaceGrid(values, -1.0, 1.0, -2.0, 2.0))
+    assert np.array_equal(iof.read_grid(path).values.view(np.uint64), values.view(np.uint64))
+    psi = pairs.view(complex)[:, 0]
+    iof.write_wavefunction(path, psi, -3.0, 3.0)
+    back, _, _ = iof.read_wavefunction(path)
+    assert np.array_equal(back.view(np.uint64), psi.view(np.uint64))
+
+
 def test_csv_exports(tmp_path):
     grid = gaussian_mixture_grid(16, 4.0, ISOTROPIC)
     iof.write_grid_csv(tmp_path / "g.csv", grid)
@@ -117,6 +143,11 @@ def test_format_errors(tmp_path):
     wrong.write_text(json.dumps({"format": 1, "kind": "grid"}))
     with pytest.raises(FormatError):
         iof.read_qudit_density(wrong)
+
+    listing = tmp_path / "list.json"
+    listing.write_text("[1, 2]")
+    with pytest.raises(FormatError, match="top level must be a JSON object"):
+        iof.read_qudit_density(listing)
 
     futur = tmp_path / "future.json"
     futur.write_text(json.dumps({"format": 2, "kind": "density"}))
@@ -505,6 +536,8 @@ def test_cli_rejects_non_finite_extent_flags(tmp_path, capsys, command, flag):
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("UsageError:") and flag in err
         assert not (tmp_path / "out.json").exists()
+    assert main(argv + [flag, "abc"]) == 2  # not a number: the flag's own message, not argparse's
+    assert f"{flag}: must be a finite positive number, got 'abc'" in capsys.readouterr().err
 
 
 def _unusable_argv(tmp_path, case):

@@ -55,6 +55,12 @@ def test_rows_sum_to_one(d):
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         measure_probabilities(np.eye(3) / 3, _set(5))
+    with pytest.raises(DimensionMismatch, match="must be square"):
+        validate_density_matrix(np.ones((2, 3)) / 2)
+    with pytest.raises(DimensionMismatch, match="square matrix"):
+        project_to_physical(np.ones((2, 3)))
+    with pytest.raises(DimensionMismatch, match="table dimension 3"):
+        reconstruct_density(ProbabilityTable(dim=3, values=np.full((4, 3), 1 / 3)), _set(5))
 
 
 def test_state_validation():
@@ -122,6 +128,16 @@ def test_tables_need_a_positive_dimension(make):
         make()
 
 
+@pytest.mark.parametrize("counts, match", [
+    ([[2, 0], [3, -1], [1, 1]], "nonnegative integers"),
+    ([[2.0, 0.0], [1.0, 1.0], [1.0, 1.0]], "nonnegative integers"),
+    ([[2, 0], [1, 1], [1, 2]], "sum to shots_per_basis"),
+], ids=["negative", "float", "row_sum"])
+def test_count_table_rejects_invalid_counts(counts, match):
+    with pytest.raises(InvariantViolation, match=match):
+        CountTable(dim=2, shots_per_basis=2, counts=np.array(counts))
+
+
 # ---------------------------------------------------------------- sampling
 
 
@@ -130,6 +146,10 @@ def test_sample_counts_zero_shots():
     counts = sample_counts(table, 0, 1)
     assert counts.shots_per_basis == 0
     assert np.all(counts.counts == 0)
+    with pytest.raises(InvariantViolation, match="shots must be nonnegative"):
+        sample_counts(table, -1, 1)
+    with pytest.raises(InvariantViolation, match="seed must be nonnegative"):
+        sample_counts(table, 10, -1)
 
 
 def test_sample_counts_degenerate_row():
@@ -282,6 +302,9 @@ def test_probability_table_warns_on_bad_row_sums():
     vals = np.full((4, 3), 1 / 3)
     vals[2] = [0.2, 0.2, 0.2]  # sums to 0.6
     with pytest.warns(UserWarning):
+        ProbabilityTable(dim=3, values=vals)
+    vals[2] = [1.5, -0.25, -0.25]  # sums to 1
+    with pytest.raises(InvariantViolation, match=r"must lie in \[0, 1\]"):
         ProbabilityTable(dim=3, values=vals)
 
 
