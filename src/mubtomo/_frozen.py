@@ -30,7 +30,8 @@ def axis_step(what: str, n: int, lo: float, hi: float) -> float:
     """Step of the uniform axis of ``n`` samples from ``lo`` to ``hi``, both
     included. An end that is not finite raises ``InvariantViolation`` naming
     ``<what>_min`` or ``<what>_max``, fewer than 2 samples ``EmptyGrid``, and
-    ends not in increasing order ``InvariantViolation``."""
+    ends not in increasing order, or a span hi - lo that overflows float64,
+    ``InvariantViolation``."""
     for end, value in (("min", lo), ("max", hi)):
         if not np.isfinite(value):
             raise InvariantViolation(f"{what}_{end} must be finite, got {value}")
@@ -39,4 +40,8 @@ def axis_step(what: str, n: int, lo: float, hi: float) -> float:
     if not lo < hi:
         raise InvariantViolation(f"grid extents must be ordered, got {what}_min = {lo} "
                                  f"and {what}_max = {hi}")
-    return (hi - lo) / (n - 1)
+    span = float(hi) - float(lo)  # Python floats overflow to inf without a numpy warning
+    if not np.isfinite(span):
+        raise InvariantViolation(f"{what} span {what}_max - {what}_min must be finite, "
+                                 f"got {span} from {lo} to {hi}")
+    return span / (n - 1)

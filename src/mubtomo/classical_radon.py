@@ -181,8 +181,8 @@ def _project_rows(grid: PhaseSpaceGrid, thetas, n_s: int, s_max: float) -> np.nd
     ``MassOutsideAxis`` when a row misses part of ``grid.mass()`` because
     s_max is too small.
     """
-    if not 0 < s_max < np.inf or not np.all(np.isfinite(thetas)):
-        raise InvariantViolation(f"need finite s_max > 0 and finite angles, got s_max = {s_max}")
+    if not 0 < s_max < np.inf:
+        raise InvariantViolation(f"need finite s_max > 0, got s_max = {s_max}")
     ds = axis_step("projection s", n_s, -s_max, s_max)
     mass = (grid.values * (grid.dx * grid.dp)).ravel()
     total = grid.mass()
@@ -240,12 +240,16 @@ def project_at_angle(grid: PhaseSpaceGrid, theta: float, n_s: int, s_max: float 
     """Single projection row at an unrestricted angle.
 
     Unlike ``radon_forward`` this accepts any theta (e.g. theta + pi for
-    the reflection identity). The row is built by the same box-footprint
-    projector and carries ``grid.mass()``. Returns ``(s_axis, row)``.
+    the reflection identity) that is finite. The row is built by the same
+    box-footprint projector and carries ``grid.mass()``. Returns
+    ``(s_axis, row)``.
     """
+    theta = float(theta)
+    if not np.isfinite(theta):
+        raise InvariantViolation(f"projection angle must be finite, got theta = {theta}")
     if s_max is None:
         s_max = _circumscribing_radius(grid)
-    rows = _project_rows(grid, [float(theta)], n_s, s_max)
+    rows = _project_rows(grid, [theta], n_s, s_max)
     return np.linspace(-s_max, s_max, n_s), rows[0]
 
 

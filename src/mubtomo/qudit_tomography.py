@@ -178,10 +178,12 @@ def sample_counts(table: ProbabilityTable, shots: int, seed: int) -> CountTable:
     row's cumulative distribution rescaled so c[d-1] = 1. Identical
     (table, shots, seed) always reproduce the same counts.
 
-    The counts are computed from each row's sorted stream, cut at c[:-1]
-    with ``side="left"`` (a draw equal to c[k] is outcome k + 1), which
-    gives the same counts as the per-draw search. With ``shots > 0``, a row
-    whose total is not positive raises ``InvariantViolation``.
+    Each row's stream is drawn into one buffer of ``shots`` floats,
+    allocated once per call, and sorted in place; the counts are cut from
+    it at c[:-1] with ``side="left"`` (a draw equal to c[k] is outcome
+    k + 1), which gives the same counts as the per-draw search. With
+    ``shots > 0``, a row whose total is not positive raises
+    ``InvariantViolation``.
     """
     if shots < 0:
         raise InvariantViolation(f"shots must be nonnegative, got {shots}")
@@ -190,6 +192,7 @@ def sample_counts(table: ProbabilityTable, shots: int, seed: int) -> CountTable:
     d = table.dim
     counts = np.zeros((d + 1, d), dtype=np.int64)
     if shots > 0:
+        draws = np.empty(shots)
         for r in range(d + 1):
             key = (seed & ((1 << 64) - 1)) + (r << 64)
             gen = np.random.Generator(np.random.Philox(key=key))
@@ -199,7 +202,9 @@ def sample_counts(table: ProbabilityTable, shots: int, seed: int) -> CountTable:
                                          "there is nothing to sample")
             # probabilities down to -ROUNDING_TOL may dip c; keep counts nonnegative
             cum = np.maximum.accumulate(cum / cum[-1])
-            below = np.searchsorted(np.sort(gen.random(shots)), cum[:-1], side="left")
+            gen.random(out=draws)
+            draws.sort()
+            below = np.searchsorted(draws, cum[:-1], side="left")
             counts[r] = np.diff(below, prepend=0, append=shots)
     return CountTable(dim=d, shots_per_basis=shots, counts=counts)
 

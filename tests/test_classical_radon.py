@@ -181,6 +181,15 @@ def test_forward_validations():
         PhaseSpaceGrid(values=np.ones((1, 4)), x_min=0, x_max=1, p_min=0, p_max=1)
 
 
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_non_finite_angle_is_named(theta):
+    """The default s_max is valid, so the message names the angle alone."""
+    grid = gaussian_mixture_grid(16, 3.0, ISOTROPIC)
+    with pytest.raises(InvariantViolation,
+                       match=rf"^projection angle must be finite, got theta = {theta}$"):
+        project_at_angle(grid, theta, n_s=16)
+
+
 def _footprint_cdf(d, a, b):
     """CDF at offset d of the unit-mass trapezoid box(a) * box(b), a >= b > 0."""
 

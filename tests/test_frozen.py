@@ -133,13 +133,17 @@ def _axis_cases():
             for ends, what in (((hi, lo), "reversed"), ((lo, lo), "equal")):
                 yield pytest.param(make, 4, *ends, InvariantViolation,
                                    "grid extents must be ordered", id=f"{name}-{what}")
+            huge = np.float64(1.7e308)
+            yield pytest.param(make, 4, -huge, huge, InvariantViolation,
+                               rf"^{name} span {name}_max - {name}_min must be finite, got inf",
+                               id=f"{name}-span-overflow")
 
 
 @pytest.mark.parametrize("make, n, lo, hi, error, match", list(_axis_cases()))
 def test_every_axis_owner_follows_the_axis_rule(make, n, lo, hi, error, match):
     """n samples from lo to hi, both included: fewer than 2 samples raise
-    EmptyGrid, a non-finite end is named, and the ends must increase, each
-    before numpy can warn."""
+    EmptyGrid, a non-finite end is named, the ends must increase and their
+    span must be finite, each before numpy can warn."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error, match=match):

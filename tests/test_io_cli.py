@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -13,7 +13,7 @@ from mubtomo import io_formats as iof
 from mubtomo.classical_radon import PhaseSpaceGrid, Sinogram, radon_forward
 from mubtomo.cli import main
 from mubtomo.cv_wigner import PositionDensityMatrix, density_from_wavefunction, ground_state
-from mubtomo.errors import DimensionMismatch, FormatError, InvariantViolation
+from mubtomo.errors import ROUNDING_TOL, DimensionMismatch, FormatError, InvariantViolation
 from mubtomo.finite_field import PrimeModulus
 from mubtomo.qudit_mub import MubBasisSet, build_mub_set
 from mubtomo.qudit_tomography import (
@@ -114,6 +114,114 @@ def test_grid_and_wavefunction_round_trips_are_bit_exact(tmp_path_factory, value
     iof.write_wavefunction(path, psi, -3.0, 3.0)
     back, _, _ = iof.read_wavefunction(path)
     assert np.array_equal(back.view(np.uint64), psi.view(np.uint64))
+
+
+_SMALL_EDGES = np.array([-0.0, 0.0, 5e-324, -2.225073858507201e-308, np.finfo(float).tiny, -5e-324])
+_MAX = np.finfo(float).max
+
+
+def _bits(arr) -> np.ndarray:
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+def _upper_triangles(sizes, elements):
+    """(n, upper): n from ``sizes`` and n(n-1)/2 [re, im] pairs for the strict upper triangle."""
+    return sizes.flatmap(lambda n: st.tuples(
+        st.just(n), arrays(float, (n * (n - 1) // 2, 2), elements=elements)))
+
+
+def _hermitian(n, upper, diagonal) -> np.ndarray:
+    """The n x n matrix with the complex ``upper`` above the diagonal, row by
+    row, its conjugates below and the real ``diagonal``."""
+    m = np.zeros((n, n), dtype=complex)
+    i, j = np.triu_indices(n, 1)
+    m[i, j] = upper.view(complex)[:, 0]
+    m[j, i] = m[i, j].conj()
+    m[np.diag_indices(n)] = diagonal
+    return m
+
+
+@settings(max_examples=50, deadline=None)
+@given(parts=_upper_triangles(st.integers(1, 4), st.floats(-1 / 64, 1 / 64)))
+@example(parts=(3, _SMALL_EDGES.reshape(3, 2)))
+def test_qudit_density_round_trip_is_bit_exact(tmp_path_factory, parts):
+    """Off-diagonal entries of modulus at most 1/64 * sqrt(2) keep the
+    diagonal 1/d positive definite for d <= 4."""
+    d, upper = parts
+    rho = _hermitian(d, upper, np.full(d, 1 / d))
+    path = tmp_path_factory.mktemp("bits") / "rho.json"
+    iof.write_qudit_density(path, rho)
+    assert np.array_equal(_bits(iof.read_qudit_density(path)), _bits(rho))
+
+
+@settings(max_examples=50, deadline=None)
+@given(parts=_upper_triangles(st.integers(2, 4), _ANY_FINITE),
+       ends=st.tuples(_ANY_FINITE, _ANY_FINITE).map(sorted))
+@example(parts=(3, np.array([[-0.0, _MAX], [5e-324, -_MAX], [-2.225073858507201e-308,
+                                                             np.finfo(float).tiny]])),
+         ends=[-0.0, _MAX])
+def test_position_density_round_trip_is_bit_exact(tmp_path_factory, parts, ends):
+    """Only Hermiticity and the trace integral constrain the samples, so
+    the off-diagonal entries and the extents are any finite floats."""
+    n, upper = parts
+    x_min, x_max = ends
+    assume(1e-300 < x_max - x_min < np.inf)
+    dx = (x_max - x_min) / (n - 1)
+    rho = PositionDensityMatrix(_hermitian(n, upper, np.full(n, 1 / n / dx)), x_min, x_max)
+    path = tmp_path_factory.mktemp("bits") / "rho.json"
+    iof.write_position_density(path, rho)
+    back = iof.read_position_density(path)
+    assert np.array_equal(_bits(back.values), _bits(rho.values))
+    assert np.array_equal(_bits([back.x_min, back.x_max]), _bits([x_min, x_max]))
+
+
+def _near_monomial(perms, angles, small) -> np.ndarray:
+    """Bases U_k with the phase exp(i angles[k, c]) at row perms[k][c] of
+    column c and the complex ``small`` entries elsewhere: unitary to about
+    2 d max|small|."""
+    d = angles.shape[1]
+    onto = np.zeros((len(perms), d, d), dtype=bool)
+    for k, perm in enumerate(perms):
+        onto[k, perm, np.arange(d)] = True
+    phases = np.exp(1j * angles)[:, np.newaxis, :]
+    return np.where(onto, phases, np.ascontiguousarray(small).view(complex)[..., 0])
+
+
+@st.composite
+def _unitary_sets(draw):
+    d = draw(st.integers(1, 3))
+    return _near_monomial(
+        draw(st.lists(st.permutations(range(d)), min_size=d + 1, max_size=d + 1)),
+        draw(arrays(float, (d + 1, d), elements=st.floats(-4.0, 4.0))),
+        draw(arrays(float, (d + 1, d, d, 2), elements=st.floats(-1e-14, 1e-14))))
+
+
+@settings(max_examples=50, deadline=None)
+@given(bases=_unitary_sets())
+@example(bases=_near_monomial([[0, 1], [1, 0], [1, 0]], np.array([[0.0, 1.0], [2.0, -3.0],
+                                                                    [0.5, 4.0]]),
+                              np.resize(_SMALL_EDGES, (3, 2, 2, 2))))
+def test_mub_set_round_trip_is_bit_exact(tmp_path_factory, bases):
+    """A unitary file need not hold MUBs; near-monomial matrices put signed
+    zeros and subnormals next to unit-modulus phases."""
+    path = tmp_path_factory.mktemp("bits") / "mub.json"
+    iof.write_mub_set(path, MubBasisSet(dim=bases.shape[1], bases=bases))
+    assert np.array_equal(_bits(iof.read_mub_set(path).bases), _bits(bases))
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=st.integers(1, 4).flatmap(lambda d: arrays(
+    float, (d + 1, d), elements=st.floats(-ROUNDING_TOL, 1.0))))
+@example(values=np.array([[-0.0, 5e-324], [-2.225073858507201e-308, np.finfo(float).tiny],
+                          [1.0, 1.0 / 3.0]]))
+def test_probability_table_round_trip_is_bit_exact(tmp_path_factory, values):
+    """Entries are any float in [-ROUNDING_TOL, 1]; rows that do not sum to 1 only warn."""
+    path = tmp_path_factory.mktemp("bits") / "probs.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        iof.write_probability_table(path, ProbabilityTable(dim=values.shape[1], values=values))
+        back = iof.read_probability_table(path)
+    assert np.array_equal(_bits(back.values), _bits(values))
 
 
 def test_csv_exports(tmp_path):
@@ -350,6 +458,22 @@ def test_readers_reject_non_finite_data(tmp_path, reader, bad):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(_document(reader, data=data.tolist())))
     with pytest.raises(InvariantViolation, match="non-finite"):
+        getattr(iof, reader)(path)
+
+
+@pytest.mark.parametrize("reader, lo, hi, what", [
+    ("read_position_density", "x_min", "x_max", "PositionDensityMatrix.x"),
+    ("read_grid", "x_min", "x_max", "PhaseSpaceGrid.x"),
+    ("read_grid", "p_min", "p_max", "PhaseSpaceGrid.p"),
+    ("read_sinogram", "s_min", "s_max", "Sinogram.s"),
+], ids=["density-x", "grid-x", "grid-p", "sinogram-s"])
+def test_readers_reject_extents_whose_span_overflows(tmp_path, reader, lo, hi, what):
+    """Finite extents pass the header check; their difference is the axis
+    rule's to reject (exit 3)."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_document(reader, **{lo: -1.7e308, hi: 1.7e308})))
+    with pytest.raises(InvariantViolation, match=rf"^{what} span {what}_max - {what}_min "
+                                                 "must be finite, got inf"):
         getattr(iof, reader)(path)
 
 

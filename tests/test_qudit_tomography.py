@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -197,6 +198,22 @@ def test_sample_counts_deterministic_and_frozen():
     assert np.array_equal(a.counts, b.counts)
     # regression pin for the documented Philox / inverse-CDF stream
     assert a.counts.tolist() == [[3, 3, 4], [2, 4, 4], [2, 3, 5], [6, 2, 2]]
+
+
+def test_sample_counts_draws_into_one_buffer():
+    """The stream of every row goes through one per-call buffer of ``shots``
+    floats, sorted in place: a fresh draw array and a sorted copy per row
+    would each add 8 * shots bytes to the peak."""
+    d, shots = 5, 100_000
+    table = ProbabilityTable(dim=d, values=np.full((d + 1, d), 1 / d))
+    sample_counts(table, 1, 3)  # the first Philox seeding imports modules lazily
+    tracemalloc.start()
+    try:
+        sample_counts(table, shots, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * shots, peak
 
 
 def _philox_uniforms(seed, r, shots):
