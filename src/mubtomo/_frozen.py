@@ -1,5 +1,5 @@
-"""Read-only, finite array fields for the frozen dataclasses, and the rule
-for a uniform sample axis that they and the functions building one share."""
+"""Read-only, finite array fields for the frozen dataclasses, and the rules for a
+uniform sample axis and for a set of angles that they and the functions building one share."""
 
 import numpy as np
 
@@ -45,3 +45,18 @@ def axis_step(what: str, n: int, lo: float, hi: float) -> float:
         raise InvariantViolation(f"{what} span {what}_max - {what}_min must be finite, "
                                  f"got {span} from {lo} to {hi}")
     return span / (n - 1)
+
+
+def angle_set(what: str, thetas) -> np.ndarray:
+    """``thetas`` as a new 1-D float array of one or more angles in [0, pi);
+    anything else raises ``InvariantViolation`` naming ``what``."""
+    try:
+        thetas = np.array(thetas, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvariantViolation(f"{what} entries do not stack into one numeric array") from exc
+    if thetas.ndim != 1 or not thetas.size:
+        raise InvariantViolation(f"{what} needs at least one angle, as a nonempty 1D sequence")
+    outside = ~((thetas >= 0.0) & (thetas < np.pi))
+    if outside.any():
+        raise InvariantViolation(f"{what} angle theta = {thetas[outside][0]} outside [0, pi)")
+    return thetas

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import axis_step, freeze_fields
+from ._frozen import angle_set, axis_step, freeze_fields
 from .errors import (FOOTPRINT_FLOOR, MASS_TOL, SPACING_TOL, IndexOutOfRange, InsufficientAngles,
                      InvariantViolation, MassOutsideAxis)
 
@@ -47,6 +47,7 @@ class PhaseSpaceGrid:
     ``values[i, j]`` is the sample at (x_i, p_j); endpoints included.
     Holds either a classical density (nonnegative, unit mass) or a Wigner
     function (may be negative); only shape and finiteness are enforced.
+    The steps ``dx`` and ``dp`` are stored, as ``axis_step`` gives them.
     """
 
     values: np.ndarray
@@ -59,8 +60,10 @@ class PhaseSpaceGrid:
         freeze_fields(self, float, values=self.values)
         if self.values.ndim != 2:
             raise InvariantViolation(f"grid values must be 2D, got shape {self.values.shape}")
-        axis_step("PhaseSpaceGrid.x", self.nx, self.x_min, self.x_max)
-        axis_step("PhaseSpaceGrid.p", self.n_p, self.p_min, self.p_max)
+        dx = axis_step("PhaseSpaceGrid.x", self.nx, self.x_min, self.x_max)
+        dp = axis_step("PhaseSpaceGrid.p", self.n_p, self.p_min, self.p_max)
+        object.__setattr__(self, "dx", dx)
+        object.__setattr__(self, "dp", dp)
 
     @property
     def nx(self) -> int:
@@ -69,14 +72,6 @@ class PhaseSpaceGrid:
     @property
     def n_p(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def dx(self) -> float:
-        return (self.x_max - self.x_min) / (self.nx - 1)
-
-    @property
-    def dp(self) -> float:
-        return (self.p_max - self.p_min) / (self.n_p - 1)
 
     @property
     def x(self) -> np.ndarray:
@@ -93,7 +88,11 @@ class PhaseSpaceGrid:
 
 @dataclass(frozen=True, eq=False)
 class Sinogram:
-    """Projection rows, one per angle, on a shared uniform s axis."""
+    """Projection rows, one per angle in [0, pi), on a shared uniform s axis.
+
+    The step ``ds`` is stored, as ``axis_step`` gives it, and so is ``reach =
+    min(|s_min|, |s_max|)``: for s_min < 0 < s_max, the radius of the disk the rows cover.
+    """
 
     values: np.ndarray
     thetas: np.ndarray
@@ -102,14 +101,13 @@ class Sinogram:
 
     def __post_init__(self):
         freeze_fields(self, float, values=self.values, thetas=self.thetas)
+        angle_set("Sinogram", self.thetas)
         if self.values.ndim != 2 or self.values.shape[:1] != self.thetas.shape:
             raise InvariantViolation(f"got values of shape {self.values.shape} "
                                      f"for angles of shape {self.thetas.shape}")
-        if self.n_theta < 1:
-            raise InvariantViolation("sinogram needs at least one angle")
         ds = axis_step("Sinogram.s", self.n_s, self.s_min, self.s_max)
-        if np.any(self.thetas < 0.0) or np.any(self.thetas >= np.pi):
-            raise InvariantViolation("angles must lie in [0, pi)")
+        object.__setattr__(self, "ds", ds)
+        object.__setattr__(self, "reach", min(abs(self.s_min), abs(self.s_max)))
         masses = self.values.sum(axis=1) * ds
         mean = float(np.mean(masses))
         if np.max(np.abs(masses - mean)) > MASS_TOL * max(1.0, abs(mean)):
@@ -122,10 +120,6 @@ class Sinogram:
     @property
     def n_s(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def ds(self) -> float:
-        return (self.s_max - self.s_min) / (self.n_s - 1)
 
     @property
     def s(self) -> np.ndarray:
@@ -244,7 +238,10 @@ def project_at_angle(grid: PhaseSpaceGrid, theta: float, n_s: int, s_max: float 
     box-footprint projector and carries ``grid.mass()``. Returns
     ``(s_axis, row)``.
     """
-    theta = float(theta)
+    try:
+        theta = float(theta)
+    except (TypeError, ValueError) as exc:
+        raise InvariantViolation(f"projection angle theta = {theta!r} is not a number") from exc
     if not np.isfinite(theta):
         raise InvariantViolation(f"projection angle must be finite, got theta = {theta}")
     if s_max is None:
@@ -269,7 +266,8 @@ def radon_forward(grid: PhaseSpaceGrid, thetas, n_s: int,
     grid : PhaseSpaceGrid
         Input density (or any real function; linearity holds exactly).
     thetas : array_like
-        Projection angles, each in [0, pi).
+        Projection angles, each in [0, pi); ``project_at_angle`` takes
+        any finite angle, the reflected half plane included.
     n_s : int
         Samples per projection row, uniform on [-s_max, s_max].
     s_max : float, optional
@@ -277,12 +275,7 @@ def radon_forward(grid: PhaseSpaceGrid, thetas, n_s: int,
         outermost cell corners so no mass is dropped at any angle; a
         smaller value that drops mass raises ``MassOutsideAxis``.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 1 or thetas.size == 0:
-        raise InvariantViolation("thetas must be a nonempty 1D sequence")
-    if not np.all((thetas >= 0.0) & (thetas < np.pi)):
-        raise InvariantViolation("radon_forward angles must lie in [0, pi); "
-                                 "use project_at_angle for the reflected half plane")
+    thetas = angle_set("radon_forward", thetas)
     if s_max is None:
         s_max = _circumscribing_radius(grid)
     rows = _project_rows(grid, thetas, n_s, s_max)
@@ -423,7 +416,7 @@ def inverse_radon(
     The kernel error is about 2e-8 of the maximum on resolved data at
     180 angles and stays below 1e-5 of it down to two angles.
 
-    The rows cover only the disk x^2 + p^2 <= min(|s_min|, |s_max|)^2.
+    The rows cover only the disk x^2 + p^2 <= ``sinogram.reach``^2.
     Outside it a point reads the ramp-filter tails of the padded row,
     not zero, and its value is biased; no error is raised. The
     interpolant is periodic in s with period n_pad * ds, at least twice
@@ -447,7 +440,7 @@ def inverse_radon(
     n_s = sinogram.n_s
     nx = n_s if nx is None else nx
     n_p = n_s if n_p is None else n_p
-    half = min(abs(sinogram.s_min), abs(sinogram.s_max)) / np.sqrt(2.0)
+    half = sinogram.reach / np.sqrt(2.0)
     x_min, p_min = (-half if lo is None else lo for lo in (x_min, p_min))
     x_max, p_max = (half if hi is None else hi for hi in (x_max, p_max))
     dx = axis_step("inverse_radon x", nx, x_min, x_max)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._frozen import axis_step, freeze_fields
+from ._frozen import angle_set, axis_step, freeze_fields
 from .classical_radon import PhaseSpaceGrid, Sinogram, inverse_radon
 from .errors import (
     CV_HERMITIAN_TOL,
@@ -74,7 +74,8 @@ _OVERLAP_OVERSAMPLE = 3
 
 @dataclass(frozen=True, eq=False)
 class PositionDensityMatrix:
-    """Samples <x_i| rho |x_j> on a uniform x grid, endpoints included."""
+    """Samples <x_i| rho |x_j> on a uniform x grid, endpoints included; the
+    step ``dx`` is stored, as ``axis_step`` gives it."""
 
     values: np.ndarray
     x_min: float
@@ -84,7 +85,8 @@ class PositionDensityMatrix:
         freeze_fields(self, complex, values=self.values)
         if self.values.ndim != 2 or self.n != self.values.shape[1]:
             raise InvariantViolation(f"expected a square sample matrix, got {self.values.shape}")
-        axis_step("PositionDensityMatrix.x", self.n, self.x_min, self.x_max)
+        dx = axis_step("PositionDensityMatrix.x", self.n, self.x_min, self.x_max)
+        object.__setattr__(self, "dx", dx)
         if np.max(np.abs(self.values - self.values.conj().T)) > CV_HERMITIAN_TOL:
             raise NonHermitianInput(
                 f"<x|rho|x'> must be Hermitian under conjugate transposition "
@@ -96,10 +98,6 @@ class PositionDensityMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def dx(self) -> float:
-        return (self.x_max - self.x_min) / (self.n - 1)
 
     @property
     def x(self) -> np.ndarray:
@@ -292,8 +290,8 @@ def _chirp_z_rows(R: np.ndarray, x: np.ndarray, thetas: np.ndarray, s: np.ndarra
     Angles run in chunks of _CHIRP_Z_CHUNK.
     """
     n, n_s = x.size, s.size
-    dx = (x[-1] - x[0]) / (n - 1)
-    ds = (s[-1] - s[0]) / (n_s - 1)
+    dx = axis_step("quadrature x", n, x[0], x[-1])
+    ds = axis_step("quadrature s", n_s, s[0], s[-1])
     m = np.arange(n)
     k = np.arange(n_s)
     back = m[:0:-1]  # lags -(n-1) .. -1 wrap to the end of the FFT buffer
@@ -320,10 +318,7 @@ def _chirp_z_rows(R: np.ndarray, x: np.ndarray, thetas: np.ndarray, s: np.ndarra
 def _quadrature_rows(
     rho: PositionDensityMatrix, thetas: np.ndarray, s: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows <s,theta| rho |s,theta> for every angle, and the checked s axis."""
-    bad = ~((thetas >= 0) & (thetas < np.pi))
-    if np.any(bad):
-        raise InvariantViolation(f"theta = {thetas[bad][0]} outside [0, pi)")
+    """Rows <s,theta| rho |s,theta> at ``angle_set`` angles, and the checked s axis."""
     x = rho.x
     s = x if s is None else np.asarray(s, dtype=float)
     if (s.ndim != 1 or s.size < 2 or not np.all(np.isfinite(s))
@@ -356,7 +351,7 @@ def _quadrature_rows(
     if np.any(momentum):
         rho_p = _momentum_representation(rho)
         rows[momentum] = _chirp_z_rows(_skew(rho_p), x, thetas[momentum] - np.pi / 2, s)
-    lost = rho.trace - rows.sum(axis=1) * (s[-1] - s[0]) / (s.size - 1)
+    lost = rho.trace - rows.sum(axis=1) * axis_step("quadrature s", s.size, s[0], s[-1])
     worst = int(np.argmax(lost))
     if lost[worst] > MASS_TOL:
         raise MassOutsideAxis(f"the theta = {thetas[worst]:.6g} row misses {lost[worst]:.3g} of "
@@ -373,7 +368,7 @@ def quadrature_distribution(
     defaults to rho's x axis and must be uniformly increasing
     (InvariantViolation otherwise).
     """
-    rows, _ = _quadrature_rows(rho, np.array([float(theta)]), s)
+    rows, _ = _quadrature_rows(rho, angle_set("quadrature_distribution", [theta]), s)
     return rows[0]
 
 
@@ -392,9 +387,7 @@ def quadrature_sinogram(
     misses more than 1e-6 of the trace off the s axis raises
     MassOutsideAxis.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 1 or thetas.size == 0:
-        raise InvariantViolation("thetas must be a nonempty 1D sequence")
+    thetas = angle_set("quadrature_sinogram", thetas)
     rows, s = _quadrature_rows(rho, thetas, s)
     return Sinogram(values=rows, thetas=thetas, s_min=float(s[0]), s_max=float(s[-1]))
 
@@ -431,7 +424,7 @@ def reconstruct_density_continuous(
     trace integral that is not positive (all-zero rows, say) raises
     InvariantViolation.
     """
-    reach = min(abs(quads.s_min), abs(quads.s_max))
+    reach = quads.reach
     x_max = reach / np.sqrt(2.0) if x_max is None else float(x_max)
     n_x = (quads.n_s + 1) // 2 if n_x is None else int(n_x)
     if not 0 < x_max < np.inf:

@@ -257,8 +257,8 @@ def project_to_physical(rho: np.ndarray) -> np.ndarray:
     physical state whose Born table is nearest to f.
     """
     rho = finite_array(rho, complex, "matrix")
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {rho.shape}")
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or not rho.size:
+        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {rho.shape}")
     herm = 0.5 * (rho + rho.conj().T)
     w, V = np.linalg.eigh(herm)
     w = _project_to_simplex(w)

@@ -16,7 +16,10 @@ and keeps ``eigh``. Only ``io_formats._parse`` calls ``json.load`` or
 ``json.loads``, so each input file is parsed once, on one path. No module
 calls anything at import, outside decorators and the ``__main__`` guard:
 tables, kernels and grids are built per call, so importing the package
-costs only its definitions.
+costs only its definitions. No module but ``_frozen`` divides by an
+expression ``... - 1``: the step of a uniform axis of n samples,
+span / (n - 1), is computed only by ``axis_step``, and every other module
+stores or asks for that value.
 """
 
 import ast
@@ -167,4 +170,22 @@ def test_no_call_runs_at_import():
             deferred |= {id(sub) for part in parts for sub in ast.walk(part)}
         hits += [f"{name}:{node.lineno} {ast.unparse(node)}" for node in ast.walk(tree)
                  if isinstance(node, ast.Call) and id(node) not in deferred]
+    assert MODULES and not hits, hits
+
+
+def test_only_frozen_computes_an_axis_step():
+    hits = []
+    for name, tree in _trees():
+        if name == "_frozen.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp):
+                op, divisor = node.op, node.right
+            elif isinstance(node, ast.AugAssign):
+                op, divisor = node.op, node.value
+            else:
+                continue
+            if (isinstance(op, ast.Div) and isinstance(divisor, ast.BinOp)
+                    and isinstance(divisor.op, ast.Sub) and ast.unparse(divisor.right) == "1"):
+                hits.append(f"{name}:{node.lineno} {ast.unparse(node)}")
     assert MODULES and not hits, hits

@@ -1,6 +1,8 @@
 """Every frozen dataclass stores read-only, finite copies of the arrays it is given,
-and every owner of a uniform sample axis checks it by the one rule of ``axis_step``."""
+every owner of a uniform sample axis checks it by the one rule of ``axis_step``,
+and every owner of a set of projection angles by the one rule of ``angle_set``."""
 
+import json
 import warnings
 
 import numpy as np
@@ -8,9 +10,10 @@ import pytest
 
 from mubtomo.classical_radon import PhaseSpaceGrid, Sinogram, inverse_radon, radon_forward
 from mubtomo.cv_wigner import (PositionDensityMatrix, density_from_wavefunction, ground_state,
-                               quadrature_sinogram, reconstruct_density_continuous,
-                               wigner_from_density)
-from mubtomo.errors import EmptyGrid, InvariantViolation
+                               quadrature_distribution, quadrature_sinogram,
+                               reconstruct_density_continuous, wigner_from_density)
+from mubtomo.errors import EmptyGrid, FormatError, InvariantViolation
+from mubtomo.io_formats import read_sinogram
 from mubtomo.qudit_mub import MubBasisSet
 from mubtomo.qudit_tomography import CountTable, ProbabilityTable
 
@@ -148,3 +151,61 @@ def test_every_axis_owner_follows_the_axis_rule(make, n, lo, hi, error, match):
         warnings.simplefilter("error")
         with pytest.raises(error, match=match):
             make(n, lo, hi)
+
+
+def _read_sinogram(thetas, path):
+    """``read_sinogram`` of a one-row document whose angles are ``thetas``."""
+    path.write_text(json.dumps({"format": 1, "kind": "sinogram", "n_theta": 1, "thetas": thetas,
+                                "n_s": 2, "s_min": -1.5, "s_max": 1.5, "data": [[0.1, 0.3]]}))
+    return read_sinogram(path)
+
+
+def _angle_owners():
+    """Every owner of an angle set as (name, make, named): ``make(thetas,
+    path)`` hands it ``thetas``, and ``named`` starts its messages.
+    ``quadrature_distribution`` takes one angle, so a one-element list is
+    unwrapped; ``Sinogram`` freezes its angles before it checks them, so a
+    non-finite one is named by ``freeze_fields``."""
+    grid = PhaseSpaceGrid(np.ones((8, 8)) / 4.0, -1.0, 1.0, -1.0, 1.0)
+    rho = density_from_wavefunction(ground_state(np.linspace(-8.0, 8.0, 64)), -8.0, 8.0)
+    yield "Sinogram", lambda t, _: Sinogram(np.ones((1, 4)), t, -1.0, 1.0), "Sinogram"
+    yield "radon_forward", lambda t, _: radon_forward(grid, t, n_s=16), "radon_forward"
+    yield "quadrature_sinogram", lambda t, _: quadrature_sinogram(rho, t), "quadrature_sinogram"
+    yield ("quadrature_distribution",
+           lambda t, _: quadrature_distribution(rho, t[0] if len(t) == 1 else t),
+           "quadrature_distribution")
+    yield "read_sinogram", _read_sinogram, "Sinogram"
+
+
+_BAD_ANGLES = [
+    ("empty", [], r"needs at least one angle"),
+    ("nested", [[0.1]], r"needs at least one angle"),
+    ("non-numeric", ["a"], r"entries do not stack into one numeric array"),
+    ("ragged", [[0.1], [0.2, 0.3]], r"entries do not stack into one numeric array"),
+    ("nan", [np.nan], r"(angle theta = nan outside \[0, pi\)|has non-finite entries)$"),
+    ("inf", [np.inf], r"(angle theta = inf outside \[0, pi\)|has non-finite entries)$"),
+    ("-inf", [-np.inf], r"(angle theta = -inf outside \[0, pi\)|has non-finite entries)$"),
+    ("negative", [-0.1], r"angle theta = -0.1 outside \[0, pi\)$"),
+    ("pi", [np.pi], r"angle theta = 3.141592653589793 outside \[0, pi\)$"),
+]
+
+
+def _angle_cases():
+    for owner, make, named in _angle_owners():
+        for case, thetas, cause in _BAD_ANGLES:
+            error, match = InvariantViolation, rf"^{named}(\.thetas)? {cause}"
+            if owner == "read_sinogram" and case in ("empty", "nested", "non-numeric", "ragged"):
+                error, match = FormatError, r": 'thetas' (shape|must be numeric)"
+            yield pytest.param(make, thetas, error, match, id=f"{owner}-{case}")
+
+
+@pytest.mark.parametrize("make, thetas, error, match", list(_angle_cases()))
+def test_every_angle_owner_follows_the_angle_rule(tmp_path, make, thetas, error, match):
+    """One or more angles in a 1-D numeric sequence, each in [0, pi): any
+    other set is named by its owner before numpy can warn or raise. A file
+    whose angles are not a flat numeric list of n_theta entries is the
+    format's to reject, as for every other key of a document."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            make(thetas, tmp_path / "sino.json")

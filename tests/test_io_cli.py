@@ -224,6 +224,35 @@ def test_probability_table_round_trip_is_bit_exact(tmp_path_factory, values):
     assert np.array_equal(_bits(back.values), _bits(values))
 
 
+@st.composite
+def _sinogram_parts(draw):
+    """Identical rows, so every row carries the same mass, with angles in
+    [0, pi) and a pair of finite ends."""
+    n_theta, n_s = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    row = draw(arrays(float, n_s, elements=_ANY_FINITE))
+    thetas = draw(arrays(float, n_theta, elements=st.floats(0.0, np.pi, exclude_max=True)))
+    return np.tile(row, (n_theta, 1)), thetas, sorted(draw(st.tuples(_ANY_FINITE, _ANY_FINITE)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(parts=_sinogram_parts())
+@example(parts=(np.tile(np.append(_SMALL_EDGES[[0, 2, 3, 4]], [_MAX, -_MAX]), (2, 1)),
+                np.array([-0.0, np.nextafter(np.pi, 0.0)]), [-2.225073858507201e-308, 5e-324]))
+def test_sinogram_round_trip_is_bit_exact(tmp_path_factory, parts):
+    """Any finite samples, angles and ordered extents survive, as long as
+    the span and the row masses stay finite."""
+    values, thetas, (s_min, s_max) = parts
+    assume(s_min < s_max and s_max - s_min < np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assume(np.isfinite(len(thetas) * values[0].sum() * (s_max - s_min)))
+    path = tmp_path_factory.mktemp("bits") / "sino.json"
+    iof.write_sinogram(path, Sinogram(values, thetas, s_min, s_max))
+    back = iof.read_sinogram(path)
+    assert np.array_equal(_bits(back.values), _bits(values))
+    assert np.array_equal(_bits(back.thetas), _bits(thetas))
+    assert np.array_equal(_bits([back.s_min, back.s_max]), _bits([s_min, s_max]))
+
+
 def test_csv_exports(tmp_path):
     grid = gaussian_mixture_grid(16, 4.0, ISOTROPIC)
     iof.write_grid_csv(tmp_path / "g.csv", grid)

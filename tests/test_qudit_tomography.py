@@ -60,6 +60,8 @@ def test_dimension_mismatch():
         validate_density_matrix(np.ones((2, 3)) / 2)
     with pytest.raises(DimensionMismatch, match="square matrix"):
         project_to_physical(np.ones((2, 3)))
+    with pytest.raises(DimensionMismatch, match="square matrix"):
+        project_to_physical(np.zeros((0, 0)))
     with pytest.raises(DimensionMismatch, match="table dimension 3"):
         reconstruct_density(ProbabilityTable(dim=3, values=np.full((4, 3), 1 / 3)), _set(5))
 
