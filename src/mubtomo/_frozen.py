@@ -47,6 +47,14 @@ def axis_step(what: str, n: int, lo: float, hi: float) -> float:
     return span / (n - 1)
 
 
+def half_axis_step(what: str, n: int, half: float) -> float:
+    """``axis_step`` from -half to half; a half-extent that is not finite and
+    positive raises ``InvariantViolation`` naming ``<what>_max``."""
+    if not 0 < half < np.inf:
+        raise InvariantViolation(f"{what}_max must be finite and positive, got {half}")
+    return axis_step(what, n, -half, half)
+
+
 def angle_set(what: str, thetas) -> np.ndarray:
     """``thetas`` as a new 1-D float array of one or more angles in [0, pi);
     anything else raises ``InvariantViolation`` naming ``what``."""

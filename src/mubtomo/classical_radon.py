@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import angle_set, axis_step, freeze_fields
+from ._frozen import angle_set, axis_step, freeze_fields, half_axis_step
 from .errors import (FOOTPRINT_FLOOR, MASS_TOL, SPACING_TOL, IndexOutOfRange, InsufficientAngles,
-                     InvariantViolation, MassOutsideAxis)
+                     InvariantViolation, MassOutsideAxis, OutsideProjectionDisk)
 
 # Back-projection by gridding: width (in grid steps) and oversampling of the
 # "exponential of semicircle" spreading kernel, and points per spreading pass.
@@ -90,8 +90,9 @@ class PhaseSpaceGrid:
 class Sinogram:
     """Projection rows, one per angle in [0, pi), on a shared uniform s axis.
 
-    The step ``ds`` is stored, as ``axis_step`` gives it, and so is ``reach =
-    min(|s_min|, |s_max|)``: for s_min < 0 < s_max, the radius of the disk the rows cover.
+    The step ``ds`` is stored, as ``axis_step`` gives it, and so is ``reach``,
+    the radius of the disk about the origin that every row covers:
+    min(-s_min, s_max) when s_min < 0 < s_max, and 0 otherwise.
     """
 
     values: np.ndarray
@@ -107,7 +108,7 @@ class Sinogram:
                                      f"for angles of shape {self.thetas.shape}")
         ds = axis_step("Sinogram.s", self.n_s, self.s_min, self.s_max)
         object.__setattr__(self, "ds", ds)
-        object.__setattr__(self, "reach", min(abs(self.s_min), abs(self.s_max)))
+        object.__setattr__(self, "reach", max(0.0, min(-self.s_min, self.s_max)))
         masses = self.values.sum(axis=1) * ds
         mean = float(np.mean(masses))
         if np.max(np.abs(masses - mean)) > MASS_TOL * max(1.0, abs(mean)):
@@ -124,6 +125,15 @@ class Sinogram:
     @property
     def s(self) -> np.ndarray:
         return np.linspace(self.s_min, self.s_max, self.n_s)
+
+    def disk_radius(self, owner: str) -> float:
+        """``reach``; an s axis that does not straddle 0 covers no disk and
+        raises ``OutsideProjectionDisk`` naming ``owner``."""
+        if not self.reach:
+            raise OutsideProjectionDisk(f"{owner}: s_min = {self.s_min:.6g} and s_max = "
+                                        f"{self.s_max:.6g} do not straddle 0, so the rows "
+                                        "cover no disk about the origin")
+        return self.reach
 
 
 def _circumscribing_radius(grid: PhaseSpaceGrid) -> float:
@@ -175,9 +185,7 @@ def _project_rows(grid: PhaseSpaceGrid, thetas, n_s: int, s_max: float) -> np.nd
     ``MassOutsideAxis`` when a row misses part of ``grid.mass()`` because
     s_max is too small.
     """
-    if not 0 < s_max < np.inf:
-        raise InvariantViolation(f"need finite s_max > 0, got s_max = {s_max}")
-    ds = axis_step("projection s", n_s, -s_max, s_max)
+    ds = half_axis_step("projection s", n_s, s_max)
     mass = (grid.values * (grid.dx * grid.dp)).ravel()
     total = grid.mass()
     xb, pb = grid.x / ds, grid.p / ds
@@ -397,10 +405,11 @@ def inverse_radon(
     Both sizes default to n_s. Angles must be uniformly spaced and span a
     half turn, ``n_theta * dtheta = pi``; other angle sets raise
     ``InsufficientAngles``. Default extents are the square inscribed in
-    the projection circle, |x|, |p| <= s_max / sqrt(2); pass the original
-    grid extents to compare round trips. Sizes below 2 raise ``EmptyGrid``;
-    a non-finite extent raises ``InvariantViolation`` naming it, as do
-    unordered extents. ``window`` ("hann") apodizes the ramp for noisy
+    the projection disk, |x|, |p| <= reach / sqrt(2), and raise
+    ``OutsideProjectionDisk`` when the s axis does not straddle 0; pass
+    the original grid extents to compare round trips. Sizes below 2 raise
+    ``EmptyGrid``; a non-finite extent raises ``InvariantViolation``
+    naming it, as do unordered extents. ``window`` ("hann") apodizes the ramp for noisy
     rows; the default is the plain band-limited ramp.
 
     Each row is zero-padded to n_pad >= 2 n_s samples and ramp-filtered,
@@ -440,9 +449,10 @@ def inverse_radon(
     n_s = sinogram.n_s
     nx = n_s if nx is None else nx
     n_p = n_s if n_p is None else n_p
-    half = sinogram.reach / np.sqrt(2.0)
-    x_min, p_min = (-half if lo is None else lo for lo in (x_min, p_min))
-    x_max, p_max = (half if hi is None else hi for hi in (x_max, p_max))
+    if None in (x_min, x_max, p_min, p_max):
+        half = sinogram.disk_radius("inverse_radon") / np.sqrt(2.0)
+        x_min, p_min = (-half if lo is None else lo for lo in (x_min, p_min))
+        x_max, p_max = (half if hi is None else hi for hi in (x_max, p_max))
     dx = axis_step("inverse_radon x", nx, x_min, x_max)
     dp = axis_step("inverse_radon p", n_p, p_min, p_max)
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._frozen import angle_set, axis_step, freeze_fields
+from ._frozen import angle_set, axis_step, freeze_fields, half_axis_step
 from .classical_radon import PhaseSpaceGrid, Sinogram, inverse_radon
 from .errors import (
     CV_HERMITIAN_TOL,
@@ -162,10 +162,7 @@ def wigner_from_density(
         n_p = n
     if p_max is None:
         p_max = max(abs(rho.x_min), abs(rho.x_max))
-    if not 0 < p_max < np.inf:
-        raise InvariantViolation(f"wigner_from_density p_max must be finite and positive, "
-                                 f"got {p_max}")
-    axis_step("wigner_from_density p", n_p, -p_max, p_max)
+    half_axis_step("wigner_from_density p", n_p, p_max)
     nyquist = np.pi / (2 * dx)
     if p_max > nyquist * (1 + ROUNDING_TOL):
         raise AliasedGrid(
@@ -230,7 +227,7 @@ def kernel_overlap(theta: float, theta_prime: float, x: float, x_prime: float) -
     g = np.linspace(-L, L, n)
     k_in = quadrature_kernel(g, x, theta)
     k_out = quadrature_kernel(g, x_prime, theta_prime)
-    return complex(np.sum(np.conj(k_out) * k_in) * (g[1] - g[0]))
+    return complex(np.sum(np.conj(k_out) * k_in) * half_axis_step("kernel_overlap g", n, L))
 
 
 def _momentum_representation(rho: PositionDensityMatrix) -> np.ndarray:
@@ -261,9 +258,10 @@ def _momentum_reach(rho: PositionDensityMatrix) -> float:
     density; over one period [-pi/dx, pi/dx] it holds all of it.
     """
     p = np.linspace(-np.pi / rho.dx, np.pi / rho.dx, 2 * rho.n + 1)
-    density = _chirp_z_rows(_skew(rho.values), rho.x, np.array([np.pi / 2]), p)[0]
+    dp = half_axis_step("momentum reach p", p.size, np.pi / rho.dx)
+    density = _chirp_z_rows(_skew(rho.values), rho.x, rho.dx, np.array([np.pi / 2]), p, dp)[0]
     order = np.argsort(-np.abs(p), kind="stable")
-    beyond = np.cumsum(density[order]) * (p[1] - p[0])  # mass at |p| >= |p[order[i]]|
+    beyond = np.cumsum(density[order]) * dp  # mass at |p| >= |p[order[i]]|
     return float(np.abs(p[order[np.count_nonzero(beyond <= MASS_TOL)]]))
 
 
@@ -275,8 +273,9 @@ def _skew(values: np.ndarray) -> np.ndarray:
     return np.where(j + m < n, values.take(m * n + j * (n + 1), mode="clip"), 0.0)
 
 
-def _chirp_z_rows(R: np.ndarray, x: np.ndarray, thetas: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Quadrature rows from the skewed density R at angles with sin != 0.
+def _chirp_z_rows(R: np.ndarray, x: np.ndarray, dx: float, thetas: np.ndarray, s: np.ndarray,
+                  ds: float) -> np.ndarray:
+    """Quadrature rows from the skewed density R on the x axis of step dx, at sin != 0.
 
     In the kernel sandwich the s^2 chirp cancels. With S = sin, C = cos and
     c_j = exp(i C x_j^2 / (2S)), the wrapped-diagonal sums
@@ -290,8 +289,6 @@ def _chirp_z_rows(R: np.ndarray, x: np.ndarray, thetas: np.ndarray, s: np.ndarra
     Angles run in chunks of _CHIRP_Z_CHUNK.
     """
     n, n_s = x.size, s.size
-    dx = axis_step("quadrature x", n, x[0], x[-1])
-    ds = axis_step("quadrature s", n_s, s[0], s[-1])
     m = np.arange(n)
     k = np.arange(n_s)
     back = m[:0:-1]  # lags -(n-1) .. -1 wrap to the end of the FFT buffer
@@ -319,12 +316,18 @@ def _quadrature_rows(
     rho: PositionDensityMatrix, thetas: np.ndarray, s: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows <s,theta| rho |s,theta> at ``angle_set`` angles, and the checked s axis."""
-    x = rho.x
-    s = x if s is None else np.asarray(s, dtype=float)
-    if (s.ndim != 1 or s.size < 2 or not np.all(np.isfinite(s))
-            or np.any((steps := np.diff(s)) <= 0)
-            or np.max(np.abs(steps - steps[0])) > SPACING_TOL * steps[0]):
-        raise InvariantViolation("s axis must be uniformly increasing")
+    x, dx = rho.x, rho.dx
+    try:
+        s = x if s is None else np.asarray(s, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvariantViolation("quadrature s entries do not stack into one numeric "
+                                 "array") from exc
+    if s.ndim != 1 or not np.isfinite(s).all():
+        raise InvariantViolation("quadrature s must be 1D, finite and uniformly increasing")
+    # an empty s has no ends; the axis rule names it by its size
+    ds = axis_step("quadrature s", s.size, *(s[[0, -1]] if s.size else (0.0, 0.0)))
+    if np.max(np.abs(np.diff(s) - ds)) > SPACING_TOL * ds:
+        raise InvariantViolation("quadrature s axis must be uniformly increasing")
 
     # Each angle is evaluated in whichever of the position / momentum
     # representations keeps |sin| of the effective angle >= sqrt(2)/2.
@@ -332,7 +335,7 @@ def _quadrature_rows(
     # points, zero past the grid as in the chirp-z rows; off the lattice
     # the momentum representation (|sin| = 1) gives it.
     axis_max = max(abs(rho.x_min), abs(rho.x_max))
-    cells = (s - rho.x_min) / rho.dx
+    cells = (s - rho.x_min) / dx
     exact = (thetas < SIN_EPS) & (np.max(np.abs(cells - np.rint(cells))) <= SPACING_TOL)
     sin, cos = np.abs(np.sin(thetas)), np.abs(np.cos(thetas))
     position = sin >= cos
@@ -340,18 +343,18 @@ def _quadrature_rows(
     # the kernel phase needs dx <= pi |sin| / x_max at every effective angle
     least = np.min(np.where(position, sin, cos), where=~exact, initial=np.inf)
     limit = np.pi * least / axis_max
-    if rho.dx > limit * (1 + ROUNDING_TOL):
-        raise AliasedGrid(f"dx = {rho.dx:.4g} exceeds pi |sin| / x_max = {limit:.4g} at the "
+    if dx > limit * (1 + ROUNDING_TOL):
+        raise AliasedGrid(f"dx = {dx:.4g} exceeds pi |sin| / x_max = {limit:.4g} at the "
                           f"least effective |sin| = {least:.4g}; refine the x grid")
 
     rows = np.empty((thetas.size, s.size))
     rows[exact] = np.interp(s, x, np.real(np.diagonal(rho.values)), left=0.0, right=0.0)
     if np.any(position):
-        rows[position] = _chirp_z_rows(_skew(rho.values), x, thetas[position], s)
+        rows[position] = _chirp_z_rows(_skew(rho.values), x, dx, thetas[position], s, ds)
     if np.any(momentum):
         rho_p = _momentum_representation(rho)
-        rows[momentum] = _chirp_z_rows(_skew(rho_p), x, thetas[momentum] - np.pi / 2, s)
-    lost = rho.trace - rows.sum(axis=1) * axis_step("quadrature s", s.size, s[0], s[-1])
+        rows[momentum] = _chirp_z_rows(_skew(rho_p), x, dx, thetas[momentum] - np.pi / 2, s, ds)
+    lost = rho.trace - rows.sum(axis=1) * ds
     worst = int(np.argmax(lost))
     if lost[worst] > MASS_TOL:
         raise MassOutsideAxis(f"the theta = {thetas[worst]:.6g} row misses {lost[worst]:.3g} of "
@@ -362,12 +365,8 @@ def _quadrature_rows(
 def quadrature_distribution(
     rho: PositionDensityMatrix, theta: float, s: np.ndarray | None = None
 ) -> np.ndarray:
-    """Measurable distribution <s,theta| rho |s,theta> on the s axis.
-
-    The one-angle case of ``quadrature_sinogram``, with the same rules: s
-    defaults to rho's x axis and must be uniformly increasing
-    (InvariantViolation otherwise).
-    """
+    """Measurable distribution <s,theta| rho |s,theta> on the s axis: the
+    one-angle case of ``quadrature_sinogram``, under the same rules."""
     rows, _ = _quadrature_rows(rho, angle_set("quadrature_distribution", [theta]), s)
     return rows[0]
 
@@ -377,15 +376,16 @@ def quadrature_sinogram(
 ) -> Sinogram:
     """Stack quadrature distributions for many angles into a Sinogram.
 
-    The s axis defaults to rho's x axis and must be uniformly increasing
-    (InvariantViolation otherwise). theta = 0 gives the position diagonal,
-    zero past the x grid, where s runs over x lattice points. Every other
-    row is a chirp-z transform of the wrapped-diagonal sums of the chirped
-    density, O(n^2) per angle where the kernel sandwich costs O(n^3).
-    Angles with |sin| < |cos|, and theta = 0 off the lattice, use the
-    momentum representation, formed once, at theta - pi/2. A row that
-    misses more than 1e-6 of the trace off the s axis raises
-    MassOutsideAxis.
+    The s axis defaults to rho's x axis; it follows the axis rule
+    (``axis_step``, as ``quadrature s``) and must be 1-D, finite and evenly
+    spaced within SPACING_TOL of its step (InvariantViolation otherwise).
+    theta = 0 gives the position diagonal, zero past the x grid, where s
+    runs over x lattice points. Every other row is a chirp-z transform of
+    the wrapped-diagonal sums of the chirped density, O(n^2) per angle
+    where the kernel sandwich costs O(n^3). Angles with |sin| < |cos|, and
+    theta = 0 off the lattice, use the momentum representation, formed
+    once, at theta - pi/2. A row that misses more than 1e-6 of the trace
+    off the s axis raises MassOutsideAxis.
     """
     thetas = angle_set("quadrature_sinogram", thetas)
     rows, s = _quadrature_rows(rho, thetas, s)
@@ -412,11 +412,12 @@ def reconstruct_density_continuous(
     matrix product. The direct principal-value double integral is
     mathematically equivalent but numerically hostile, so it is never
     evaluated pointwise. The p integral runs over the disk
-    x^2 + p^2 <= reach^2 that the rows cover, reach = min(|s_min|, |s_max|),
-    with W zero outside it; an ``x_max`` at or beyond reach leaves rows
-    with no point in the disk and raises OutsideProjectionDisk, and one
-    that is not finite and positive raises InvariantViolation naming it;
-    n_x below 2 raises EmptyGrid.
+    x^2 + p^2 <= reach^2 that the rows cover (``Sinogram.reach``), with W
+    zero outside it. An s axis that does not straddle 0 covers no disk,
+    and an ``x_max`` at or beyond reach leaves rows with no point in the
+    disk; both raise OutsideProjectionDisk. An ``x_max`` that is not
+    finite and positive raises InvariantViolation naming it, and n_x below
+    2 raises EmptyGrid.
 
     Returns ``(rho, raw_trace)`` where raw_trace is the trace integral
     before the final renormalization; it should sit near 1 for
@@ -424,13 +425,10 @@ def reconstruct_density_continuous(
     trace integral that is not positive (all-zero rows, say) raises
     InvariantViolation.
     """
-    reach = quads.reach
+    reach = quads.disk_radius("reconstruct_density_continuous")
     x_max = reach / np.sqrt(2.0) if x_max is None else float(x_max)
     n_x = (quads.n_s + 1) // 2 if n_x is None else int(n_x)
-    if not 0 < x_max < np.inf:
-        raise InvariantViolation(f"reconstruct_density_continuous x_max must be finite and "
-                                 f"positive, got {x_max}")
-    du = axis_step("reconstruct_density_continuous x", n_x, -x_max, x_max)
+    du = half_axis_step("reconstruct_density_continuous x", n_x, x_max)
     if x_max >= reach:
         raise OutsideProjectionDisk(f"x_max = {x_max:.6g} is not inside the projection disk of "
                                     f"radius {reach:.6g}; rows at |x| >= {reach:.6g} hold no "

@@ -105,7 +105,8 @@ class MassOutsideAxis(InvariantViolation):
 
 
 class OutsideProjectionDisk(InvariantViolation):
-    """An x extent reaches past the disk x^2 + p^2 <= reach^2 the projection rows cover."""
+    """An x extent reaches past the disk x^2 + p^2 <= reach^2 the projection rows cover,
+    or the rows cover none: their s axis does not straddle 0."""
 
 
 class NonHermitianInput(MubTomoError):

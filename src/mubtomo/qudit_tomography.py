@@ -63,8 +63,9 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     floor, where rounding decides either way.
     """
     rho = finite_array(rho, complex, "density matrix")
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatch(f"density matrix must be square, got shape {rho.shape}")
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or not rho.size:
+        raise DimensionMismatch(f"density matrix must be square and nonempty, got shape "
+                                f"{rho.shape}")
     if np.max(np.abs(rho - rho.conj().T)) > ROUNDING_TOL:
         raise NonHermitianInput(f"density matrix not Hermitian within {ROUNDING_TOL}")
     if abs(np.trace(rho).real - 1.0) > ROUNDING_TOL or abs(np.trace(rho).imag) > ROUNDING_TOL:

@@ -19,7 +19,11 @@ tables, kernels and grids are built per call, so importing the package
 costs only its definitions. No module but ``_frozen`` divides by an
 expression ``... - 1``: the step of a uniform axis of n samples,
 span / (n - 1), is computed only by ``axis_step``, and every other module
-stores or asks for that value.
+stores or asks for that value; none reads it back off an array as
+``v[1] - v[0]`` either. No module but ``_frozen`` and ``cli`` checks a
+half-extent with the chain ``0 < ... < np.inf``: the library's symmetric
+axes go through ``half_axis_step``, and ``cli._half_extent`` checks a
+command-line flag, whose fault is a usage error (exit 2).
 """
 
 import ast
@@ -188,4 +192,29 @@ def test_only_frozen_computes_an_axis_step():
             if (isinstance(op, ast.Div) and isinstance(divisor, ast.BinOp)
                     and isinstance(divisor.op, ast.Sub) and ast.unparse(divisor.right) == "1"):
                 hits.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    assert MODULES and not hits, hits
+
+
+def test_no_step_is_read_off_an_array():
+    hits = [
+        f"{name}:{node.lineno} {ast.unparse(node)}"
+        for name, tree in _trees() if name != "_frozen.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+        and all(isinstance(side, ast.Subscript) for side in (node.left, node.right))
+        and ast.unparse(node.left.value) == ast.unparse(node.right.value)
+        and (ast.unparse(node.left.slice), ast.unparse(node.right.slice)) == ("1", "0")
+    ]
+    assert MODULES and not hits, hits
+
+
+def test_only_frozen_and_cli_check_a_half_extent():
+    hits = [
+        f"{name}:{node.lineno} {ast.unparse(node)}"
+        for name, tree in _trees() if name not in ("_frozen.py", "cli.py")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and ast.unparse(node.left) == "0"
+        and [type(op) for op in node.ops] == [ast.Lt, ast.Lt]
+        and ast.unparse(node.comparators[-1]) == "np.inf"
+    ]
     assert MODULES and not hits, hits

@@ -32,6 +32,7 @@ from mubtomo.errors import (
     InsufficientAngles,
     InvariantViolation,
     MassOutsideAxis,
+    OutsideProjectionDisk,
 )
 
 _ASYMMETRIC_96 = gaussian_mixture_grid(96, 6.0, ASYMMETRIC)
@@ -600,6 +601,31 @@ def test_sinogram_rejects_empty_rows():
         Sinogram(values=np.zeros((0, 4)), thetas=[], s_min=-1.0, s_max=1.0)
     with pytest.raises(InvariantViolation, match="for angles of shape"):
         Sinogram(values=np.ones((3, 4)), thetas=_angles(2), s_min=-1.0, s_max=1.0)
+
+
+@pytest.mark.parametrize("s_min, s_max, reach", [(-3.0, 3.0, 3.0), (-1.0, 3.0, 1.0),
+                                                  (-3.0, -0.5, 0.0), (0.5, 3.0, 0.0),
+                                                  (0.0, 3.0, 0.0)])
+def test_reach_is_the_disk_every_row_covers(s_min, s_max, reach):
+    """An s axis that does not straddle 0 covers no disk about the origin:
+    with a defaulted extent ``inverse_radon`` names its ends, where it once
+    laid out a grid that read only ramp-filter tails. Explicit extents are
+    evaluated as documented, biased outside the disk."""
+    sino = Sinogram(np.ones((8, 16)), _angles(8), s_min, s_max)
+    assert sino.reach == reach
+    if reach:
+        assert inverse_radon(sino).x_max == reach / np.sqrt(2.0)
+        return
+    with pytest.raises(OutsideProjectionDisk, match=rf"^inverse_radon: s_min = {s_min:g} and "
+                                                    rf"s_max = {s_max:g} do not straddle 0"):
+        inverse_radon(sino, x_min=-1.0, x_max=1.0, p_min=-1.0)
+    rec = inverse_radon(sino, x_min=-1.0, x_max=1.0, p_min=-1.0, p_max=1.0)
+    assert rec.values.shape == (16, 16) and np.isfinite(rec.values).all()
+
+
+def test_grid_rejects_values_that_are_not_2d():
+    with pytest.raises(InvariantViolation, match="grid values must be 2D"):
+        PhaseSpaceGrid(np.ones(4), -1, 1, -1, 1)
 
 
 def test_grid_properties():

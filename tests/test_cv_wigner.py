@@ -330,6 +330,18 @@ def test_quadrature_rejects_bad_axes(rho0):
                 quadrature_distribution(rho0, 0.7, bad)
     with pytest.raises(InvariantViolation, match="nonempty"):
         quadrature_sinogram(rho0, [])
+    for bad, error, match in (
+            ([], EmptyGrid, r"^quadrature s axis needs at least 2 samples, got 0"),
+            ([5.0], EmptyGrid, r"^quadrature s axis needs at least 2 samples, got 1"),
+            (["a", "b"], InvariantViolation, r"^quadrature s entries do not stack"),
+            ([-1.7e308, 1.7e308], InvariantViolation,
+             r"^quadrature s span quadrature s_max - quadrature s_min must be finite")):
+        for quadrature in (lambda s: quadrature_distribution(rho0, 0.7, s),
+                           lambda s: quadrature_sinogram(rho0, [0.0, 0.7], s)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(error, match=match):
+                    quadrature(bad)
 
 
 @pytest.mark.parametrize("p0", [5.0, 6.0])
@@ -453,6 +465,15 @@ def test_x_max_outside_the_disk_is_named(rho0, factor):
     quads = quadrature_sinogram(rho0, np.arange(16) * np.pi / 16)
     with pytest.raises(OutsideProjectionDisk, match="projection disk of radius 8"):
         reconstruct_density_continuous(quads, x_max=8.0 * factor)
+
+
+@pytest.mark.parametrize("s_min, s_max", [(0.5, 3.0), (-3.0, -0.5)])
+@pytest.mark.parametrize("x_max", [None, 0.25])
+def test_s_axis_off_zero_covers_no_disk(s_min, s_max, x_max):
+    sino = Sinogram(np.ones((8, 16)), np.arange(8) * np.pi / 8, s_min, s_max)
+    with pytest.raises(OutsideProjectionDisk, match=rf"s_min = {s_min:g} and s_max = {s_max:g} "
+                                                    "do not straddle 0"):
+        reconstruct_density_continuous(sino, x_max=x_max)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])

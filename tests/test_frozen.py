@@ -82,11 +82,12 @@ def test_extents_reject_non_finite_values_by_name(make, name, bad):
 
 
 def _axis_owners():
-    """Every owner of a uniform axis as (name, make, ends, lengths, named).
+    """Every owner of a uniform axis as (name, make, ends, lengths, half).
     ``make(n, lo, hi)`` builds an axis of n samples from lo to hi, ``ends``
     are ordered finite ends, and an array-backed axis takes no negative n.
-    An owner of a symmetric axis takes its half-extent hi and checks that
-    itself; ``named`` is then the start of its message for a non-finite one."""
+    An owner of a symmetric axis (``half``) takes only its half-extent hi,
+    which ``half_axis_step`` names as ``<name>_max`` unless it is finite and
+    positive."""
     grid = PhaseSpaceGrid(np.ones((8, 8)) / 4.0, -1.0, 1.0, -1.0, 1.0)
     sino = Sinogram(np.ones((4, 16)), np.arange(4) * np.pi / 4, -3.0, 3.0)
     x64 = np.linspace(-8.0, 8.0, 64)
@@ -94,45 +95,46 @@ def _axis_owners():
     quads = quadrature_sinogram(rho, np.arange(16) * np.pi / 16)
     arrays, counts = (0, 1), (1, 0, -1)
     yield ("PhaseSpaceGrid.x", lambda n, lo, hi: PhaseSpaceGrid(np.ones((n, 3)), lo, hi, -1.0, 1.0),
-           (-1.0, 1.0), arrays, None)
+           (-1.0, 1.0), arrays, False)
     yield ("PhaseSpaceGrid.p", lambda n, lo, hi: PhaseSpaceGrid(np.ones((3, n)), -1.0, 1.0, lo, hi),
-           (-1.0, 1.0), arrays, None)
+           (-1.0, 1.0), arrays, False)
     yield ("Sinogram.s", lambda n, lo, hi: Sinogram(np.ones((2, n)), np.array([0.0, 1.0]), lo, hi),
-           (-1.0, 1.0), arrays, None)
+           (-1.0, 1.0), arrays, False)
     yield ("PositionDensityMatrix.x",
            lambda n, lo, hi: PositionDensityMatrix(np.eye(n) / 3.0, lo, hi), (-1.125, 1.125),
-           arrays, None)
+           arrays, False)
     yield ("density_from_wavefunction x",
            lambda n, lo, hi: density_from_wavefunction(ground_state(x64[:n]), lo, hi),
-           (-8.0, 8.0), arrays, None)
+           (-8.0, 8.0), arrays, False)
     yield ("inverse_radon x", lambda n, lo, hi: inverse_radon(sino, n, 8, x_min=lo, x_max=hi),
-           (-1.0, 1.0), counts, None)
+           (-1.0, 1.0), counts, False)
     yield ("inverse_radon p", lambda n, lo, hi: inverse_radon(sino, 8, n, p_min=lo, p_max=hi),
-           (-1.0, 1.0), counts, None)
+           (-1.0, 1.0), counts, False)
     yield ("projection s", lambda n, lo, hi: radon_forward(grid, [0.1], n_s=n, s_max=hi),
-           (-3.0, 3.0), counts, "need finite s_max > 0")
+           (-3.0, 3.0), counts, True)
     yield ("wigner_from_density p", lambda n, lo, hi: wigner_from_density(rho, n_p=n, p_max=hi),
-           (-4.0, 4.0), counts, "wigner_from_density p_max must be finite")
+           (-4.0, 4.0), counts, True)
     yield ("reconstruct_density_continuous x",
            lambda n, lo, hi: reconstruct_density_continuous(quads, n_x=n, x_max=hi),
-           (-4.0, 4.0), counts, "reconstruct_density_continuous x_max must be finite")
+           (-4.0, 4.0), counts, True)
 
 
 def _axis_cases():
-    for name, make, (lo, hi), lengths, named in _axis_owners():
+    for name, make, (lo, hi), lengths, half in _axis_owners():
         for n in lengths:
             yield pytest.param(make, n, lo, hi, EmptyGrid, rf"^{name} axis needs at least 2 samples",
                                id=f"{name}-n={n}")
         for bad in (np.nan, np.inf, -np.inf):
-            if named:
-                yield pytest.param(make, 4, -bad, bad, InvariantViolation, f"^{named}",
+            if half:
+                yield pytest.param(make, 4, -bad, bad, InvariantViolation,
+                                   rf"^{name}_max must be finite and positive, got {bad}",
                                    id=f"{name}-half={bad}")
                 continue
             yield pytest.param(make, 4, bad, hi, InvariantViolation,
                                rf"^{name}_min must be finite, got {bad}", id=f"{name}_min={bad}")
             yield pytest.param(make, 4, lo, bad, InvariantViolation,
                                rf"^{name}_max must be finite, got {bad}", id=f"{name}_max={bad}")
-        if not named:
+        if not half:
             for ends, what in (((hi, lo), "reversed"), ((lo, lo), "equal")):
                 yield pytest.param(make, 4, *ends, InvariantViolation,
                                    "grid extents must be ordered", id=f"{name}-{what}")

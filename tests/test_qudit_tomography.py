@@ -58,6 +58,8 @@ def test_dimension_mismatch():
         measure_probabilities(np.eye(3) / 3, _set(5))
     with pytest.raises(DimensionMismatch, match="must be square"):
         validate_density_matrix(np.ones((2, 3)) / 2)
+    with pytest.raises(DimensionMismatch, match="must be square"):
+        validate_density_matrix(np.zeros((0, 0)))
     with pytest.raises(DimensionMismatch, match="square matrix"):
         project_to_physical(np.ones((2, 3)))
     with pytest.raises(DimensionMismatch, match="square matrix"):
