@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import angle_set, axis_step, freeze_fields, half_axis_step
+from ._frozen import angle_set, axis_step, freeze_axis, freeze_fields, half_axis_step, real
 from .errors import (FOOTPRINT_FLOOR, MASS_TOL, SPACING_TOL, IndexOutOfRange, InsufficientAngles,
                      InvariantViolation, MassOutsideAxis, OutsideProjectionDisk)
 
@@ -47,7 +47,7 @@ class PhaseSpaceGrid:
     ``values[i, j]`` is the sample at (x_i, p_j); endpoints included.
     Holds either a classical density (nonnegative, unit mass) or a Wigner
     function (may be negative); only shape and finiteness are enforced.
-    The steps ``dx`` and ``dp`` are stored, as ``axis_step`` gives them.
+    ``freeze_axis`` stores float extents, steps ``dx``, ``dp`` and samples ``x``, ``p``.
     """
 
     values: np.ndarray
@@ -60,10 +60,8 @@ class PhaseSpaceGrid:
         freeze_fields(self, float, values=self.values)
         if self.values.ndim != 2:
             raise InvariantViolation(f"grid values must be 2D, got shape {self.values.shape}")
-        dx = axis_step("PhaseSpaceGrid.x", self.nx, self.x_min, self.x_max)
-        dp = axis_step("PhaseSpaceGrid.p", self.n_p, self.p_min, self.p_max)
-        object.__setattr__(self, "dx", dx)
-        object.__setattr__(self, "dp", dp)
+        freeze_axis(self, "x", self.nx)
+        freeze_axis(self, "p", self.n_p)
 
     @property
     def nx(self) -> int:
@@ -72,14 +70,6 @@ class PhaseSpaceGrid:
     @property
     def n_p(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.nx)
-
-    @property
-    def p(self) -> np.ndarray:
-        return np.linspace(self.p_min, self.p_max, self.n_p)
 
     def mass(self) -> float:
         """Rectangle-rule integral of the samples."""
@@ -90,8 +80,8 @@ class PhaseSpaceGrid:
 class Sinogram:
     """Projection rows, one per angle in [0, pi), on a shared uniform s axis.
 
-    The step ``ds`` is stored, as ``axis_step`` gives it, and so is ``reach``,
-    the radius of the disk about the origin that every row covers:
+    ``freeze_axis`` stores float extents, the step ``ds`` and the samples ``s``;
+    ``reach`` is stored too, the radius of the disk about the origin every row covers:
     min(-s_min, s_max) when s_min < 0 < s_max, and 0 otherwise.
     """
 
@@ -106,10 +96,9 @@ class Sinogram:
         if self.values.ndim != 2 or self.values.shape[:1] != self.thetas.shape:
             raise InvariantViolation(f"got values of shape {self.values.shape} "
                                      f"for angles of shape {self.thetas.shape}")
-        ds = axis_step("Sinogram.s", self.n_s, self.s_min, self.s_max)
-        object.__setattr__(self, "ds", ds)
+        freeze_axis(self, "s", self.n_s)
         object.__setattr__(self, "reach", max(0.0, min(-self.s_min, self.s_max)))
-        masses = self.values.sum(axis=1) * ds
+        masses = self.values.sum(axis=1) * self.ds
         mean = float(np.mean(masses))
         if np.max(np.abs(masses - mean)) > MASS_TOL * max(1.0, abs(mean)):
             raise InvariantViolation("projection rows carry inconsistent total mass")
@@ -121,10 +110,6 @@ class Sinogram:
     @property
     def n_s(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def s(self) -> np.ndarray:
-        return np.linspace(self.s_min, self.s_max, self.n_s)
 
     def disk_radius(self, owner: str) -> float:
         """``reach``; an s axis that does not straddle 0 covers no disk and
@@ -246,10 +231,7 @@ def project_at_angle(grid: PhaseSpaceGrid, theta: float, n_s: int, s_max: float 
     box-footprint projector and carries ``grid.mass()``. Returns
     ``(s_axis, row)``.
     """
-    try:
-        theta = float(theta)
-    except (TypeError, ValueError) as exc:
-        raise InvariantViolation(f"projection angle theta = {theta!r} is not a number") from exc
+    theta = real("projection angle theta", theta)
     if not np.isfinite(theta):
         raise InvariantViolation(f"projection angle must be finite, got theta = {theta}")
     if s_max is None:

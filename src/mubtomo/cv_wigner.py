@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._frozen import angle_set, axis_step, freeze_fields, half_axis_step
+from ._frozen import angle_set, axis_step, freeze_axis, freeze_fields, half_axis_step
 from .classical_radon import PhaseSpaceGrid, Sinogram, inverse_radon
 from .errors import (
     CV_HERMITIAN_TOL,
@@ -74,8 +74,8 @@ _OVERLAP_OVERSAMPLE = 3
 
 @dataclass(frozen=True, eq=False)
 class PositionDensityMatrix:
-    """Samples <x_i| rho |x_j> on a uniform x grid, endpoints included; the
-    step ``dx`` is stored, as ``axis_step`` gives it."""
+    """Samples <x_i| rho |x_j> on a uniform x grid, endpoints included; ``freeze_axis``
+    stores float extents, the step ``dx`` and the samples ``x``."""
 
     values: np.ndarray
     x_min: float
@@ -85,8 +85,7 @@ class PositionDensityMatrix:
         freeze_fields(self, complex, values=self.values)
         if self.values.ndim != 2 or self.n != self.values.shape[1]:
             raise InvariantViolation(f"expected a square sample matrix, got {self.values.shape}")
-        dx = axis_step("PositionDensityMatrix.x", self.n, self.x_min, self.x_max)
-        object.__setattr__(self, "dx", dx)
+        freeze_axis(self, "x", self.n)
         if np.max(np.abs(self.values - self.values.conj().T)) > CV_HERMITIAN_TOL:
             raise NonHermitianInput(
                 f"<x|rho|x'> must be Hermitian under conjugate transposition "
@@ -98,10 +97,6 @@ class PositionDensityMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n)
 
     @property
     def trace(self) -> float:
@@ -155,13 +150,9 @@ def wigner_from_density(
     samples raise EmptyGrid, and a p_max that is not finite and positive
     raises InvariantViolation naming it.
     """
-    x = rho.x
-    n = rho.n
-    dx = rho.dx
-    if n_p is None:
-        n_p = n
-    if p_max is None:
-        p_max = max(abs(rho.x_min), abs(rho.x_max))
+    n, dx = rho.n, rho.dx
+    n_p = n if n_p is None else n_p
+    p_max = max(abs(rho.x_min), abs(rho.x_max)) if p_max is None else p_max
     half_axis_step("wigner_from_density p", n_p, p_max)
     nyquist = np.pi / (2 * dx)
     if p_max > nyquist * (1 + ROUNDING_TOL):
@@ -175,7 +166,7 @@ def wigner_from_density(
     anti = 2 * idx[:, None] - idx[None, :]  # column index of rho(u_i, 2 x_m - u_i)
     valid = (anti >= 0) & (anti < n)
     H = np.where(valid, rho.values[idx[None, :], np.clip(anti, 0, n - 1)], 0.0)
-    E = np.exp(-2j * np.outer(x, p_axis))
+    E = np.exp(-2j * np.outer(rho.x, p_axis))
     W = (dx / np.pi) * E.conj() * (H @ E)
 
     residue = float(np.max(np.abs(W.imag)))
@@ -238,8 +229,7 @@ def _momentum_representation(rho: PositionDensityMatrix) -> np.ndarray:
     a shortfall against the position trace above MASS_TOL
     raises MomentumOutsideGrid, naming the |x| extent that would hold it.
     """
-    x = rho.x
-    F = np.exp(-1j * np.outer(x, x)) * rho.dx / np.sqrt(2 * np.pi)
+    F = np.exp(-1j * np.outer(rho.x, rho.x)) * rho.dx / np.sqrt(2 * np.pi)
     rho_p = F @ rho.values @ F.conj().T
     lost = float(rho.trace - np.sum(np.real(np.diagonal(rho_p))) * rho.dx)
     if lost > MASS_TOL:
@@ -326,7 +316,8 @@ def _quadrature_rows(
         raise InvariantViolation("quadrature s must be 1D, finite and uniformly increasing")
     # an empty s has no ends; the axis rule names it by its size
     ds = axis_step("quadrature s", s.size, *(s[[0, -1]] if s.size else (0.0, 0.0)))
-    if np.max(np.abs(np.diff(s) - ds)) > SPACING_TOL * ds:
+    # samples outside [s[0], s[-1]] are not increasing; inside it no difference overflows
+    if s.min() < s[0] or s.max() > s[-1] or np.max(np.abs(np.diff(s) - ds)) > SPACING_TOL * ds:
         raise InvariantViolation("quadrature s axis must be uniformly increasing")
 
     # Each angle is evaluated in whichever of the position / momentum
@@ -389,7 +380,7 @@ def quadrature_sinogram(
     """
     thetas = angle_set("quadrature_sinogram", thetas)
     rows, s = _quadrature_rows(rho, thetas, s)
-    return Sinogram(values=rows, thetas=thetas, s_min=float(s[0]), s_max=float(s[-1]))
+    return Sinogram(values=rows, thetas=thetas, s_min=s[0], s_max=s[-1])
 
 
 # The quadrature set of a state is the Radon transform of its Wigner
@@ -426,8 +417,8 @@ def reconstruct_density_continuous(
     InvariantViolation.
     """
     reach = quads.disk_radius("reconstruct_density_continuous")
-    x_max = reach / np.sqrt(2.0) if x_max is None else float(x_max)
-    n_x = (quads.n_s + 1) // 2 if n_x is None else int(n_x)
+    x_max = reach / np.sqrt(2.0) if x_max is None else x_max
+    n_x = (quads.n_s + 1) // 2 if n_x is None else n_x
     du = half_axis_step("reconstruct_density_continuous x", n_x, x_max)
     if x_max >= reach:
         raise OutsideProjectionDisk(f"x_max = {x_max:.6g} is not inside the projection disk of "

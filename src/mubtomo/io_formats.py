@@ -18,6 +18,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from ._frozen import axis_step
 from .classical_radon import PhaseSpaceGrid, Sinogram
 from .cv_wigner import PositionDensityMatrix
 from .errors import FormatError, UsageError
@@ -159,6 +160,7 @@ def write_wavefunction(path, psi: np.ndarray, x_min: float, x_max: float):
 
 def as_wavefunction(doc, path):
     n, x_min, x_max, data = _load(doc, path, "wavefunction", n=int, x_min=float, x_max=float)
+    axis_step("wavefunction x", n, x_min, x_max)
     return _array(data, path, (n,), complex), x_min, x_max
 
 
@@ -243,12 +245,12 @@ def read_sinogram(path) -> Sinogram:
 def write_grid_csv(path, grid: PhaseSpaceGrid):
     """Row-major CSV: one line per x sample, p along columns."""
     _write_csv(path, [f"kind=grid nx={grid.nx} np={grid.n_p} "
-                      f"x_min={float(grid.x_min)!r} x_max={float(grid.x_max)!r} "
-                      f"p_min={float(grid.p_min)!r} p_max={float(grid.p_max)!r}"], grid.values)
+                      f"x_min={grid.x_min!r} x_max={grid.x_max!r} "
+                      f"p_min={grid.p_min!r} p_max={grid.p_max!r}"], grid.values)
 
 
 def write_sinogram_csv(path, sino: Sinogram):
     """Row-major CSV: one line per angle, s along columns."""
     _write_csv(path, [f"kind=sinogram n_theta={sino.n_theta} n_s={sino.n_s} "
-                      f"s_min={float(sino.s_min)!r} s_max={float(sino.s_max)!r}",
+                      f"s_min={sino.s_min!r} s_max={sino.s_max!r}",
                       "thetas=" + ",".join(map(repr, sino.thetas.tolist()))], sino.values)

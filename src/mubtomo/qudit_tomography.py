@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import finite_array, freeze_fields
+from ._frozen import finite_array, freeze_fields, whole
 from .errors import (EIGENVALUE_FLOOR, ROUNDING_TOL, ROW_SUM_TOL, DimensionMismatch,
                      InvariantViolation, NonHermitianInput)
 from .finite_field import assert_odd_prime
@@ -182,13 +182,13 @@ def sample_counts(table: ProbabilityTable, shots: int, seed: int) -> CountTable:
     Each row's stream is drawn into one buffer of ``shots`` floats,
     allocated once per call, and sorted in place; the counts are cut from
     it at c[:-1] with ``side="left"`` (a draw equal to c[k] is outcome
-    k + 1), which gives the same counts as the per-draw search. With
-    ``shots > 0``, a row whose total is not positive raises
-    ``InvariantViolation``.
+    k + 1), which gives the same counts as the per-draw search. ``shots``
+    and ``seed`` must be integers of any type (``whole``); with ``shots > 0``,
+    a row whose total is not positive raises ``InvariantViolation``.
     """
-    if shots < 0:
+    if (shots := whole("shots", shots)) < 0:
         raise InvariantViolation(f"shots must be nonnegative, got {shots}")
-    if seed < 0:
+    if (seed := whole("seed", seed)) < 0:
         raise InvariantViolation(f"seed must be nonnegative, got {seed}")
     d = table.dim
     counts = np.zeros((d + 1, d), dtype=np.int64)

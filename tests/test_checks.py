@@ -23,7 +23,11 @@ stores or asks for that value; none reads it back off an array as
 ``v[1] - v[0]`` either. No module but ``_frozen`` and ``cli`` checks a
 half-extent with the chain ``0 < ... < np.inf``: the library's symmetric
 axes go through ``half_axis_step``, and ``cli._half_extent`` checks a
-command-line flag, whose fault is a usage error (exit 2).
+command-line flag, whose fault is a usage error (exit 2). Only ``_frozen``
+builds the axis of a frozen type: no ``__post_init__`` calls ``axis_step``,
+and no module but ``_frozen`` defines a property that returns
+``np.linspace``; each type stores its float ends, step and read-only
+samples through ``freeze_axis``.
 """
 
 import ast
@@ -217,4 +221,22 @@ def test_only_frozen_and_cli_check_a_half_extent():
         and [type(op) for op in node.ops] == [ast.Lt, ast.Lt]
         and ast.unparse(node.comparators[-1]) == "np.inf"
     ]
+    assert MODULES and not hits, hits
+
+
+def test_only_frozen_builds_a_type_axis():
+    hits = []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            calls = [sub for sub in ast.walk(node) if isinstance(sub, ast.Call)]
+            returns = [sub.value for sub in ast.walk(node) if isinstance(sub, ast.Return)]
+            if node.name == "__post_init__" and any(
+                    ast.unparse(call.func).endswith("axis_step") for call in calls):
+                hits.append(f"{name}:{node.lineno} __post_init__ calls axis_step")
+            if name != "_frozen.py" and "property" in map(ast.unparse, node.decorator_list) and any(
+                    isinstance(value, ast.Call) and ast.unparse(value.func) == "np.linspace"
+                    for value in returns):
+                hits.append(f"{name}:{node.lineno} property {node.name} returns np.linspace")
     assert MODULES and not hits, hits

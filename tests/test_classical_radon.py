@@ -185,12 +185,13 @@ def test_forward_validations():
 @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
 def test_non_finite_angle_is_named(theta):
     """The default s_max is valid, so the message names the angle alone;
-    an angle that ``float`` cannot read is named as not a number."""
+    an angle that is not a real number, a numeric string included, is named
+    as not a number."""
     grid = gaussian_mixture_grid(16, 3.0, ISOTROPIC)
     with pytest.raises(InvariantViolation,
                        match=rf"^projection angle must be finite, got theta = {theta}$"):
         project_at_angle(grid, theta, n_s=16)
-    for bad in ("a", None):
+    for bad in ("a", None, "3", b"3", 1j):
         with pytest.raises(InvariantViolation,
                            match=rf"^projection angle theta = {bad!r} is not a number$"):
             project_at_angle(grid, bad, n_s=16)

@@ -344,6 +344,19 @@ def test_quadrature_rejects_bad_axes(rho0):
                     quadrature(bad)
 
 
+@pytest.mark.parametrize("s", [[0.0, 1e308, -1e308, 1.0], [-1e308, 1.7e308, 5e307]])
+def test_quadrature_spacing_test_does_not_overflow(rho0, s):
+    """Interior samples beyond the finite ends are not increasing; they are
+    named so before a difference of two huge samples can overflow."""
+    for quadrature in (lambda s: quadrature_distribution(rho0, 0.7, s),
+                       lambda s: quadrature_sinogram(rho0, [0.0, 0.7], s)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolation,
+                               match=r"^quadrature s axis must be uniformly increasing$"):
+                quadrature(s)
+
+
 @pytest.mark.parametrize("p0", [5.0, 6.0])
 def test_momentum_outside_grid_is_named(p0):
     """A boost e^{i p0 x} pushes momentum mass past |p| = 8, the mirrored
@@ -558,3 +571,17 @@ def test_density_from_wavefunction_normalizes():
         density_from_wavefunction(np.ones((2, 64)), -6, 6)
     with pytest.raises(InvariantViolation, match="zero norm"):
         density_from_wavefunction(np.zeros(128), -6, 6)
+
+
+def test_wigner_names_an_imaginary_residue():
+    """A density that passes the Hermiticity check by a hair can still leave
+    an imaginary part in W: i 4.9e-11 (J - I) on a Gaussian over 801 points
+    of [-400, 400] differs from its conjugate transpose by 9.8e-11 and
+    leaves a residue of 1.25e-8 at p = 0."""
+    n = 801
+    base = density_from_wavefunction(ground_state(np.linspace(-400.0, 400.0, n)), -400.0, 400.0)
+    rho = PositionDensityMatrix(base.values + 4.9e-11j * (np.ones((n, n)) - np.eye(n)),
+                                -400.0, 400.0)
+    with pytest.raises(InvariantViolation,
+                       match=r"^Wigner transform left imaginary residue 1\.25e-08$"):
+        wigner_from_density(rho, n_p=3, p_max=1.5)

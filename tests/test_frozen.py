@@ -1,8 +1,10 @@
-"""Every frozen dataclass stores read-only, finite copies of the arrays it is given,
+"""Every frozen dataclass stores read-only, finite copies of the arrays it is given
+and, through ``freeze_axis``, float extents and read-only samples of its axes;
 every owner of a uniform sample axis checks it by the one rule of ``axis_step``,
 and every owner of a set of projection angles by the one rule of ``angle_set``."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from mubtomo.cv_wigner import (PositionDensityMatrix, density_from_wavefunction,
                                quadrature_distribution, quadrature_sinogram,
                                reconstruct_density_continuous, wigner_from_density)
 from mubtomo.errors import EmptyGrid, FormatError, InvariantViolation
+from mubtomo import io_formats as iof
 from mubtomo.io_formats import read_sinogram
 from mubtomo.qudit_mub import MubBasisSet
 from mubtomo.qudit_tomography import CountTable, ProbabilityTable
@@ -134,6 +137,20 @@ def _axis_cases():
                                rf"^{name}_min must be finite, got {bad}", id=f"{name}_min={bad}")
             yield pytest.param(make, 4, lo, bad, InvariantViolation,
                                rf"^{name}_max must be finite, got {bad}", id=f"{name}_max={bad}")
+        for bad in ("3", [1.0], 1j):
+            number = rf" = {re.escape(repr(bad))} is not a number$"
+            if half:
+                yield pytest.param(make, 4, lo, bad, InvariantViolation, rf"^{name}_max{number}",
+                                   id=f"{name}-half={bad!r}")
+                continue
+            yield pytest.param(make, 4, bad, hi, InvariantViolation, rf"^{name}_min{number}",
+                               id=f"{name}_min={bad!r}")
+            yield pytest.param(make, 4, lo, bad, InvariantViolation, rf"^{name}_max{number}",
+                               id=f"{name}_max={bad!r}")
+        for bad in (8.5, 8.0, "8") if -1 in lengths else ():  # a size the caller hands in
+            whole = rf" = {re.escape(repr(bad))} is not a whole number$"
+            yield pytest.param(make, bad, lo, hi, InvariantViolation, rf"^{name} axis size{whole}",
+                               id=f"{name}-n={bad!r}")
         if not half:
             for ends, what in (((hi, lo), "reversed"), ((lo, lo), "equal")):
                 yield pytest.param(make, 4, *ends, InvariantViolation,
@@ -147,12 +164,75 @@ def _axis_cases():
 @pytest.mark.parametrize("make, n, lo, hi, error, match", list(_axis_cases()))
 def test_every_axis_owner_follows_the_axis_rule(make, n, lo, hi, error, match):
     """n samples from lo to hi, both included: fewer than 2 samples raise
-    EmptyGrid, a non-finite end is named, the ends must increase and their
-    span must be finite, each before numpy can warn."""
+    EmptyGrid, an end that is not a real number or not finite is named, as
+    is a size that is not an integer, the ends must increase and their span
+    must be finite, each before numpy can warn."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error, match=match):
             make(n, lo, hi)
+
+
+def _typed_axis_owners():
+    """Each frozen type with an axis as (make, writers, reader, axes): ``make(kind)``
+    builds it with extents of the number type ``kind``, the JSON writer first."""
+    rho = np.eye(3, dtype=complex) / 3.0  # trace integral 1 with dx = 1
+    yield (lambda kind: PhaseSpaceGrid(np.ones((3, 4)), kind(-1), kind(1), kind(-3), kind(3)),
+           (iof.write_grid, iof.write_grid_csv), iof.read_grid, {"x": 3, "p": 4})
+    yield (lambda kind: Sinogram(np.ones((2, 3)), np.array([0.0, 1.0]), kind(-1), kind(2)),
+           (iof.write_sinogram, iof.write_sinogram_csv), iof.read_sinogram, {"s": 3})
+    yield (lambda kind: PositionDensityMatrix(rho, kind(-1), kind(1)),
+           (iof.write_position_density,), iof.read_position_density, {"x": 3})
+
+
+_TYPED_IDS = ["grid", "sinogram", "density"]
+_KINDS = pytest.mark.parametrize("kind", [int, np.float32, np.int64, float],
+                                 ids=["int", "float32", "int64", "float"])
+
+
+@_KINDS
+@pytest.mark.parametrize("make, writers, reader, axes", list(_typed_axis_owners()), ids=_TYPED_IDS)
+def test_extents_of_any_number_type_write_the_float_bytes(tmp_path, make, writers, reader, axes,
+                                                          kind):
+    """Extents are stored as Python floats, so a type built from int or numpy
+    extents writes the bytes of the float-built one, and a file written,
+    read and written again keeps its bytes."""
+    for writer in writers:
+        writer(tmp_path / "float", make(float))
+        writer(tmp_path / "typed", make(kind))
+        assert (tmp_path / "typed").read_bytes() == (tmp_path / "float").read_bytes()
+    writers[0](tmp_path / "first", make(kind))
+    writers[0](tmp_path / "again", reader(tmp_path / "first"))
+    assert (tmp_path / "again").read_bytes() == (tmp_path / "first").read_bytes()
+
+
+@_KINDS
+@pytest.mark.parametrize("make, writers, reader, axes", list(_typed_axis_owners()), ids=_TYPED_IDS)
+def test_axes_are_stored_read_only_samples(make, writers, reader, axes, kind):
+    """Each axis is built once: float ends, and samples that are the read-only
+    ``np.linspace`` of those ends."""
+    obj = make(kind)
+    for name, n in axes.items():
+        lo, hi = getattr(obj, f"{name}_min"), getattr(obj, f"{name}_max")
+        samples = getattr(obj, name)
+        assert type(lo) is float and type(hi) is float
+        assert samples is getattr(obj, name)
+        assert samples.dtype == float and np.array_equal(samples, np.linspace(lo, hi, n))
+        assert samples.flags.writeable is False
+        with pytest.raises(ValueError):
+            samples[0] = 0.0
+
+
+def test_an_axis_spanning_the_float_range_builds_without_a_warning():
+    """linspace's (n - 1) * step may round past the largest float when the
+    span is near it; the last sample is then set to the end, so the samples
+    are finite and built without a numpy warning."""
+    top = np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = PhaseSpaceGrid(np.ones((4, 4)), 0.0, top, -top / 2, top / 2)
+    assert grid.x[-1] == top and grid.p[-1] == top / 2
+    assert np.isfinite(grid.x).all() and np.isfinite(grid.p).all()
 
 
 def _read_sinogram(thetas, path):

@@ -926,6 +926,27 @@ def test_cli_wigner_density_axis_must_match(tmp_path, capsys):
     assert "UsageError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("psi, x_min, x_max, error, named", [
+    (ground_state(np.linspace(-6, 6, 64)), 6.0, -6.0, "InvariantViolation",
+     "grid extents must be ordered, got wavefunction x_min = 6.0"),
+    (np.ones(1), -6.0, 6.0, "EmptyGrid", "wavefunction x axis needs at least 2 samples, got 1"),
+], ids=["reversed", "one_sample"])
+@pytest.mark.parametrize("command", ["wigner", "quads"])
+def test_cli_rejects_a_wavefunction_axis_before_resampling(tmp_path, capsys, psi, x_min, x_max,
+                                                           error, named, command):
+    """A wavefunction file's axis follows the axis rule when it is read, so
+    ``wigner``, which resamples it, cannot turn reversed extents or a single
+    sample into a state."""
+    pfile = tmp_path / "psi.json"
+    iof.write_wavefunction(pfile, psi.astype(complex), x_min, x_max)
+    argv = [command, "--state", str(pfile), "--out", str(tmp_path / "out.json")]
+    argv += ["--grid", "64", "--xmax", "6"] if command == "wigner" else ["--angles", "4"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"{error}: {named}")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_cli_aliased_wigner_exits_4(tmp_path, capsys):
     x = np.linspace(-6, 6, 128)
     pfile = tmp_path / "psi.json"

@@ -204,6 +204,22 @@ def test_sample_counts_deterministic_and_frozen():
     assert a.counts.tolist() == [[3, 3, 4], [2, 4, 4], [2, 3, 5], [6, 2, 2]]
 
 
+def test_sample_counts_takes_integers_of_any_type():
+    """``shots`` and ``seed`` are whole numbers of any Python or numpy integer
+    type, with the counts of the Python int; anything else is named."""
+    table = ProbabilityTable(dim=3, values=np.full((4, 3), 1 / 3))
+    want = sample_counts(table, 10, 42)
+    for shots, seed in ((np.int64(10), np.int64(42)), (10, np.uint64(42)), (np.int32(10), 42)):
+        got = sample_counts(table, shots, seed)
+        assert np.array_equal(got.counts, want.counts)
+        assert type(got.shots_per_basis) is int
+    for shots, seed, match in ((10.0, 42, r"^shots = 10\.0 is not"),
+                               (10, 3.0, r"^seed = 3\.0 is not"),
+                               ("10", 42, r"^shots = '10' is not")):
+        with pytest.raises(InvariantViolation, match=match + " a whole number$"):
+            sample_counts(table, shots, seed)
+
+
 def test_sample_counts_draws_into_one_buffer():
     """The stream of every row goes through one per-call buffer of ``shots``
     floats, sorted in place: a fresh draw array and a sorted copy per row
