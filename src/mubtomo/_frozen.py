@@ -1,6 +1,8 @@
 """Read-only, finite array fields and axes for the frozen dataclasses, and the rules for
 a real and a whole number, a uniform sample axis and a set of angles that they share."""
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import EmptyGrid, InvariantViolation
@@ -40,9 +42,19 @@ def whole(what: str, value) -> int:
     raise InvariantViolation(f"{what} = {value!r} is not a whole number")
 
 
-def axis_step(what: str, n: int, lo: float, hi: float) -> float:
-    """Step of the uniform axis of ``n`` samples from ``lo`` to ``hi``, both
-    included. An end that is not a number, or not finite, raises ``InvariantViolation``
+class Axis(NamedTuple):
+    """A checked uniform axis: float ends, the step and the n read-only samples."""
+
+    lo: float
+    hi: float
+    step: float
+    samples: np.ndarray
+
+
+@np.errstate(over="ignore")  # linspace's (n - 1) * step may overflow near the largest float;
+def axis(what: str, n: int, lo: float, hi: float) -> Axis:
+    """The uniform axis of ``n`` samples from ``lo`` to ``hi``, both included.
+    An end that is not a number, or not finite, raises ``InvariantViolation``
     naming ``<what>_min`` or ``<what>_max``, a size that is not a whole number names
     ``<what> axis size``, fewer than 2 samples raise ``EmptyGrid``, and ends not in
     increasing order, or a span hi - lo that overflows float64, ``InvariantViolation``."""
@@ -59,27 +71,25 @@ def axis_step(what: str, n: int, lo: float, hi: float) -> float:
     if not np.isfinite(span):
         raise InvariantViolation(f"{what} span {what}_max - {what}_min must be finite, "
                                  f"got {span} from {lo} to {hi}")
-    return span / (n - 1)
+    samples = np.linspace(lo, hi, n)  # it then sets the last sample to hi
+    samples.setflags(write=False)
+    return Axis(lo, hi, span / (n - 1), samples)
 
 
-def half_axis_step(what: str, n: int, half: float) -> float:
-    """``axis_step`` from -half to half; a half-extent that is not a real number,
+def half_axis(what: str, n: int, half: float) -> Axis:
+    """``axis`` from -half to half; a half-extent that is not a real number,
     or not finite and positive, raises ``InvariantViolation`` naming ``<what>_max``."""
     half = real(f"{what}_max", half)
     if not 0 < half < np.inf:
         raise InvariantViolation(f"{what}_max must be finite and positive, got {half}")
-    return axis_step(what, n, -half, half)
+    return axis(what, n, -half, half)
 
 
-@np.errstate(over="ignore")  # linspace's (n - 1) * step may overflow near the largest float;
 def freeze_axis(instance, name: str, n: int):
-    """Store the ends of axis ``name`` of ``instance`` as floats, its step by ``axis_step``
-    (as ``<Type>.<name>``) as ``d<name>``, and its n samples, read-only, as ``<name>``."""
-    what = f"{type(instance).__name__}.{name}"
-    lo, hi = (real(f"{what}_{end}", getattr(instance, f"{name}_{end}")) for end in ("min", "max"))
-    step = axis_step(what, n, lo, hi)
-    samples = np.linspace(lo, hi, n)  # it then sets the last sample to hi
-    samples.setflags(write=False)
+    """Store ``axis`` (as ``<Type>.<name>``) of ``instance``'s ends ``<name>_min`` and
+    ``<name>_max``: the ends as floats, the step as ``d<name>`` and the samples as ``<name>``."""
+    lo, hi, step, samples = axis(f"{type(instance).__name__}.{name}", n,
+                                 getattr(instance, f"{name}_min"), getattr(instance, f"{name}_max"))
     vars(instance).update({f"{name}_min": lo, f"{name}_max": hi, f"d{name}": step, name: samples})
 
 

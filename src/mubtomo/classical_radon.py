@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import angle_set, axis_step, freeze_axis, freeze_fields, half_axis_step, real
+from ._frozen import Axis, angle_set, axis, freeze_axis, freeze_fields, half_axis, real
 from .errors import (FOOTPRINT_FLOOR, MASS_TOL, SPACING_TOL, IndexOutOfRange, InsufficientAngles,
                      InvariantViolation, MassOutsideAxis, OutsideProjectionDisk)
 
@@ -152,8 +152,9 @@ def _share(y, a, b, work, spare):
     return y
 
 
-def _project_rows(grid: PhaseSpaceGrid, thetas, n_s: int, s_max: float) -> np.ndarray:
-    """Exact bin integrals of the cell footprints, one row per angle.
+def _project_rows(grid: PhaseSpaceGrid, thetas, s_axis: Axis) -> np.ndarray:
+    """Exact bin integrals of the cell footprints, one row per angle, on the
+    ``half_axis`` ``s_axis`` of n_s samples on [-s_max, s_max] with step ds.
 
     Sample v[i, j] is a dx x dp box of mass v dx dp. At angle theta it
     projects to the trapezoid box(a) * box(b) centred on
@@ -170,7 +171,7 @@ def _project_rows(grid: PhaseSpaceGrid, thetas, n_s: int, s_max: float) -> np.nd
     ``MassOutsideAxis`` when a row misses part of ``grid.mass()`` because
     s_max is too small.
     """
-    ds = half_axis_step("projection s", n_s, s_max)
+    s_max, ds, n_s = s_axis.hi, s_axis.step, s_axis.samples.size
     mass = (grid.values * (grid.dx * grid.dp)).ravel()
     total = grid.mass()
     xb, pb = grid.x / ds, grid.p / ds
@@ -234,10 +235,8 @@ def project_at_angle(grid: PhaseSpaceGrid, theta: float, n_s: int, s_max: float 
     theta = real("projection angle theta", theta)
     if not np.isfinite(theta):
         raise InvariantViolation(f"projection angle must be finite, got theta = {theta}")
-    if s_max is None:
-        s_max = _circumscribing_radius(grid)
-    rows = _project_rows(grid, [theta], n_s, s_max)
-    return np.linspace(-s_max, s_max, n_s), rows[0]
+    s = half_axis("projection s", n_s, _circumscribing_radius(grid) if s_max is None else s_max)
+    return s.samples, _project_rows(grid, [theta], s)[0]
 
 
 def radon_forward(grid: PhaseSpaceGrid, thetas, n_s: int,
@@ -266,10 +265,8 @@ def radon_forward(grid: PhaseSpaceGrid, thetas, n_s: int,
         smaller value that drops mass raises ``MassOutsideAxis``.
     """
     thetas = angle_set("radon_forward", thetas)
-    if s_max is None:
-        s_max = _circumscribing_radius(grid)
-    rows = _project_rows(grid, thetas, n_s, s_max)
-    return Sinogram(values=rows, thetas=thetas, s_min=-s_max, s_max=s_max)
+    s = half_axis("projection s", n_s, _circumscribing_radius(grid) if s_max is None else s_max)
+    return Sinogram(values=_project_rows(grid, thetas, s), thetas=thetas, s_min=s.lo, s_max=s.hi)
 
 
 def fourier_slice(sinogram: Sinogram, theta_index: int):
@@ -435,8 +432,7 @@ def inverse_radon(
         half = sinogram.disk_radius("inverse_radon") / np.sqrt(2.0)
         x_min, p_min = (-half if lo is None else lo for lo in (x_min, p_min))
         x_max, p_max = (half if hi is None else hi for hi in (x_max, p_max))
-    dx = axis_step("inverse_radon x", nx, x_min, x_max)
-    dp = axis_step("inverse_radon p", n_p, p_min, p_max)
+    x, p = axis("inverse_radon x", nx, x_min, x_max), axis("inverse_radon p", n_p, p_min, p_max)
 
     ds = sinogram.ds
     n_pad = 1 << int(np.ceil(np.log2(2 * n_s)))
@@ -448,7 +444,7 @@ def inverse_radon(
     # the filtered row's interpolant is (ds/n_pad) sum_j H_j F_j e^{i r_j (s - s_min)}
     # with F = rfft(row); fold in its phase at the output sample nearest the grid's centre
     cos, sin = np.cos(sinogram.thetas), np.sin(sinogram.thetas)
-    centre = (x_min + (nx // 2) * dx) * cos + (p_min + (n_p // 2) * dp) * sin
+    centre = (x.lo + (nx // 2) * x.step) * cos + (p.lo + (n_p // 2) * p.step) * sin
     coef = np.fft.rfft(sinogram.values, n=n_pad)
     phase = np.multiply.outer(centre - sinogram.s_min, 1j * r)
     coef *= np.exp(phase, out=phase)
@@ -458,11 +454,11 @@ def inverse_radon(
     # the sample m steps from the centre sees e^{i m r cos(theta) dx}: a 2 pi
     # periodic phase, so the frequencies wrap onto the oversampled grids
     mx, mp = (max(2 * int(np.ceil(_ES_OVERSAMPLING * n / 2)), 2 * _ES_WIDTH) for n in (nx, n_p))
-    gx = np.outer(cos, r * (dx * mx / (2 * np.pi))).ravel()
+    gx = np.outer(cos, r * (x.step * mx / (2 * np.pi))).ravel()
     gx %= mx
     order = np.argsort(gx)
     gx = gx[order]
-    gp = np.outer(sin, r * (dp * mp / (2 * np.pi))).ravel()
+    gp = np.outer(sin, r * (p.step * mp / (2 * np.pi))).ravel()
     gp %= mp
     gp = gp[order]
     coef = coef.ravel()[order]
@@ -478,4 +474,4 @@ def inverse_radon(
     acc = grid.real[np.ix_(m % mx, q % mp)]
     acc *= (mx / _es_transform(m, mx, beta))[:, np.newaxis]
     acc *= mp / _es_transform(q, mp, beta)
-    return PhaseSpaceGrid(values=acc, x_min=x_min, x_max=x_max, p_min=p_min, p_max=p_max)
+    return PhaseSpaceGrid(values=acc, x_min=x.lo, x_max=x.hi, p_min=p.lo, p_max=p.hi)

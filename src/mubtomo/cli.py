@@ -77,33 +77,20 @@ def _uniform_angles(n: int) -> np.ndarray:
 
 
 def _load_cv_state(path, n=None, xmax=None):
-    """Position density from a density or wavefunction file, parsed once by
-    ``io_formats.read_one_of``; any other kind is a UsageError.
-
-    Wavefunctions are linearly resampled onto n points over [-xmax, xmax]
-    when those flags are given; density matrices must already match.
+    """Position density, on its file's own axis, from a density or wavefunction
+    file parsed once by ``io_formats.read_one_of``; any other kind is a UsageError.
+    ``n`` and ``xmax``, when given, must match that axis, or a UsageError names both.
     """
-    def wavefunction(doc, path):
-        psi, x_min, x_max = iof.as_wavefunction(doc, path)
-        if n is not None and xmax is not None:
-            old = np.linspace(x_min, x_max, psi.size)
-            new = np.linspace(-xmax, xmax, n)
-            psi = np.interp(new, old, psi.real) + 1j * np.interp(new, old, psi.imag)
-            x_min, x_max = -xmax, xmax
-        return density_from_wavefunction(psi, x_min, x_max)
-
-    def density(doc, path):
-        rho = iof.as_position_density(doc, path)
-        if n is not None and (rho.n != n or abs(rho.x_max - xmax) > SPACING_TOL
-                              or abs(rho.x_min + xmax) > SPACING_TOL):
-            raise UsageError(
-                f"density file axis ({rho.n} points on [{rho.x_min}, {rho.x_max}]) "
-                f"does not match --grid {n} --xmax {xmax}; resampling is only "
-                f"supported for wavefunction inputs"
-            )
-        return rho
-
-    return iof.read_one_of(path, "a continuous state", wavefunction=wavefunction, density=density)
+    rho = iof.read_one_of(
+        path, "a continuous state", density=iof.as_position_density,
+        wavefunction=lambda doc, path: density_from_wavefunction(*iof.as_wavefunction(doc, path)))
+    off = xmax is not None and max(abs(rho.x_min + xmax), abs(rho.x_max - xmax)) > SPACING_TOL
+    if off or n not in (None, rho.n):
+        asked = " ".join(f"{flag} {value}" for flag, value in (("--grid", n), ("--xmax", xmax))
+                         if value is not None)
+        raise UsageError(f"state file axis ({rho.n} points on [{rho.x_min}, {rho.x_max}]) "
+                         f"does not match {asked}")
+    return rho
 
 
 def _cmd_mub(args):
@@ -159,11 +146,7 @@ def _cmd_iradon(args):
 
 def _cmd_wigner(args):
     rho = _load_cv_state(args.state, n=args.grid, xmax=args.xmax)
-    W = wigner_from_density(
-        rho,
-        n_p=args.np,
-        p_max=args.pmax if args.pmax is not None else args.xmax,
-    )
+    W = wigner_from_density(rho, n_p=args.np, p_max=args.pmax)
     _write((iof.write_grid, args.out, W), (iof.write_grid_csv, args.csv, W))
 
 
@@ -231,8 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wigner", help="Wigner function of a continuous state")
     p.add_argument("--state", required=True, help="density or wavefunction JSON")
-    p.add_argument("--grid", type=_count(0), required=True, help="samples per axis")
-    p.add_argument("--xmax", type=_half_extent, required=True, help="half extent of the axis")
+    p.add_argument("--grid", type=_count(0), default=None,
+                   help="samples the state file's x axis must have")
+    p.add_argument("--xmax", type=_half_extent, default=None,
+                   help="half extent the state file's x axis must have")
     p.add_argument("--np", type=_count(0), default=None)
     p.add_argument("--pmax", type=_half_extent, default=None)
     p.add_argument("--csv", default=None)

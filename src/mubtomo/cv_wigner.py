@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._frozen import angle_set, axis_step, freeze_axis, freeze_fields, half_axis_step
+from ._frozen import angle_set, axis, freeze_axis, freeze_fields, half_axis
 from .classical_radon import PhaseSpaceGrid, Sinogram, inverse_radon
 from .errors import (
     CV_HERMITIAN_TOL,
@@ -123,12 +123,12 @@ def density_from_wavefunction(
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1:
         raise InvariantViolation(f"wavefunction must be a 1D array, got shape {psi.shape}")
-    dx = axis_step("density_from_wavefunction x", psi.size, x_min, x_max)
-    norm = np.sum(np.abs(psi) ** 2) * dx
+    x = axis("density_from_wavefunction x", psi.size, x_min, x_max)
+    norm = np.sum(np.abs(psi) ** 2) * x.step
     if norm <= 0:
         raise InvariantViolation("wavefunction has zero norm")
     rho = np.outer(psi, psi.conj()) / norm
-    return PositionDensityMatrix(values=rho, x_min=x_min, x_max=x_max)
+    return PositionDensityMatrix(values=rho, x_min=x.lo, x_max=x.hi)
 
 
 def wigner_from_density(
@@ -151,22 +151,20 @@ def wigner_from_density(
     raises InvariantViolation naming it.
     """
     n, dx = rho.n, rho.dx
-    n_p = n if n_p is None else n_p
-    p_max = max(abs(rho.x_min), abs(rho.x_max)) if p_max is None else p_max
-    half_axis_step("wigner_from_density p", n_p, p_max)
+    p = half_axis("wigner_from_density p", n if n_p is None else n_p,
+                  max(abs(rho.x_min), abs(rho.x_max)) if p_max is None else p_max)
     nyquist = np.pi / (2 * dx)
-    if p_max > nyquist * (1 + ROUNDING_TOL):
+    if p.hi > nyquist * (1 + ROUNDING_TOL):
         raise AliasedGrid(
-            f"|p| up to {p_max:.4g} exceeds the Nyquist bound {nyquist:.4g} "
+            f"|p| up to {p.hi:.4g} exceeds the Nyquist bound {nyquist:.4g} "
             f"for dx = {dx:.4g}"
         )
-    p_axis = np.linspace(-p_max, p_max, n_p)
 
     idx = np.arange(n)
     anti = 2 * idx[:, None] - idx[None, :]  # column index of rho(u_i, 2 x_m - u_i)
     valid = (anti >= 0) & (anti < n)
     H = np.where(valid, rho.values[idx[None, :], np.clip(anti, 0, n - 1)], 0.0)
-    E = np.exp(-2j * np.outer(rho.x, p_axis))
+    E = np.exp(-2j * np.outer(rho.x, p.samples))
     W = (dx / np.pi) * E.conj() * (H @ E)
 
     residue = float(np.max(np.abs(W.imag)))
@@ -175,7 +173,7 @@ def wigner_from_density(
             f"Wigner transform left imaginary residue {residue:.3g}"
         )
     return PhaseSpaceGrid(
-        values=W.real, x_min=rho.x_min, x_max=rho.x_max, p_min=-p_max, p_max=p_max
+        values=W.real, x_min=rho.x_min, x_max=rho.x_max, p_min=p.lo, p_max=p.hi
     )
 
 
@@ -215,10 +213,10 @@ def kernel_overlap(theta: float, theta_prime: float, x: float, x_prime: float) -
         rate += (abs(lab) + L * abs(np.cos(ang))) / abs(S)
     dg = np.pi / (_OVERLAP_OVERSAMPLE * rate)
     n = max(int(np.ceil(2 * L / dg)), 4096) | 1
-    g = np.linspace(-L, L, n)
-    k_in = quadrature_kernel(g, x, theta)
-    k_out = quadrature_kernel(g, x_prime, theta_prime)
-    return complex(np.sum(np.conj(k_out) * k_in) * half_axis_step("kernel_overlap g", n, L))
+    g = half_axis("kernel_overlap g", n, L)
+    k_in = quadrature_kernel(g.samples, x, theta)
+    k_out = quadrature_kernel(g.samples, x_prime, theta_prime)
+    return complex(np.sum(np.conj(k_out) * k_in) * g.step)
 
 
 def _momentum_representation(rho: PositionDensityMatrix) -> np.ndarray:
@@ -247,8 +245,7 @@ def _momentum_reach(rho: PositionDensityMatrix) -> float:
     The theta = pi/2 row of the position representation is the momentum
     density; over one period [-pi/dx, pi/dx] it holds all of it.
     """
-    p = np.linspace(-np.pi / rho.dx, np.pi / rho.dx, 2 * rho.n + 1)
-    dp = half_axis_step("momentum reach p", p.size, np.pi / rho.dx)
+    _, _, dp, p = half_axis("momentum reach p", 2 * rho.n + 1, np.pi / rho.dx)
     density = _chirp_z_rows(_skew(rho.values), rho.x, rho.dx, np.array([np.pi / 2]), p, dp)[0]
     order = np.argsort(-np.abs(p), kind="stable")
     beyond = np.cumsum(density[order]) * dp  # mass at |p| >= |p[order[i]]|
@@ -315,7 +312,7 @@ def _quadrature_rows(
     if s.ndim != 1 or not np.isfinite(s).all():
         raise InvariantViolation("quadrature s must be 1D, finite and uniformly increasing")
     # an empty s has no ends; the axis rule names it by its size
-    ds = axis_step("quadrature s", s.size, *(s[[0, -1]] if s.size else (0.0, 0.0)))
+    ds = axis("quadrature s", s.size, *(s[[0, -1]] if s.size else (0.0, 0.0))).step
     # samples outside [s[0], s[-1]] are not increasing; inside it no difference overflows
     if s.min() < s[0] or s.max() > s[-1] or np.max(np.abs(np.diff(s) - ds)) > SPACING_TOL * ds:
         raise InvariantViolation("quadrature s axis must be uniformly increasing")
@@ -368,7 +365,7 @@ def quadrature_sinogram(
     """Stack quadrature distributions for many angles into a Sinogram.
 
     The s axis defaults to rho's x axis; it follows the axis rule
-    (``axis_step``, as ``quadrature s``) and must be 1-D, finite and evenly
+    (``axis``, as ``quadrature s``) and must be 1-D, finite and evenly
     spaced within SPACING_TOL of its step (InvariantViolation otherwise).
     theta = 0 gives the position diagonal, zero past the x grid, where s
     runs over x lattice points. Every other row is a chirp-z transform of
@@ -419,27 +416,27 @@ def reconstruct_density_continuous(
     reach = quads.disk_radius("reconstruct_density_continuous")
     x_max = reach / np.sqrt(2.0) if x_max is None else x_max
     n_x = (quads.n_s + 1) // 2 if n_x is None else n_x
-    du = half_axis_step("reconstruct_density_continuous x", n_x, x_max)
-    if x_max >= reach:
-        raise OutsideProjectionDisk(f"x_max = {x_max:.6g} is not inside the projection disk of "
+    u = half_axis("reconstruct_density_continuous x", n_x, x_max)
+    if u.hi >= reach:
+        raise OutsideProjectionDisk(f"x_max = {u.hi:.6g} is not inside the projection disk of "
                                     f"radius {reach:.6g}; rows at |x| >= {reach:.6g} hold no "
                                     "valid p")
 
     # called as inverse_radon, the name perfbench's tracer rebinds
-    W = inverse_radon(quads, 2 * n_x - 1, x_min=-x_max, x_max=x_max, p_min=-reach, p_max=reach)
-    offsets = np.arange(-(n_x - 1), n_x) * du  # v - u on the coarse grid
+    W = inverse_radon(quads, 2 * n_x - 1, x_min=u.lo, x_max=u.hi, p_min=-reach, p_max=reach)
+    offsets = np.arange(-(n_x - 1), n_x) * u.step  # v - u on the coarse grid
     E = np.exp(-1j * np.outer(W.p, offsets)) * W.dp
     inside = W.x[:, np.newaxis] ** 2 + W.p[np.newaxis, :] ** 2 <= reach**2
     G = np.where(inside, W.values, 0.0) @ E  # G[m, q] = Integral dp e^{-i p y_q} W(fine_m, p)
     ii, jj = np.ogrid[:n_x, :n_x]
     rho = G[ii + jj, (jj - ii) + (n_x - 1)]
     rho = 0.5 * (rho + rho.conj().T)
-    raw_trace = float(np.sum(np.real(np.diagonal(rho))) * du)
+    raw_trace = float(np.sum(np.real(np.diagonal(rho))) * u.step)
     if not raw_trace > 0:
         raise InvariantViolation(f"the reconstructed density has trace integral {raw_trace!r}, "
                                  "not positive; there is no state to normalize")
     rho = rho / raw_trace
     return (
-        PositionDensityMatrix(values=rho, x_min=-x_max, x_max=x_max),
+        PositionDensityMatrix(values=rho, x_min=u.lo, x_max=u.hi),
         raw_trace,
     )

@@ -38,7 +38,7 @@ ROW_SUM_TOL = 1e-10
 MASS_TOL = 1e-6
 # Mismatch, relative to the step, of axes that must agree: uniformly spaced
 # angles spanning the half turn, a uniform s axis, s on the x lattice; and,
-# absolute, a density file's x extents against --xmax.
+# absolute, a state file's x extents against --xmax.
 SPACING_TOL = 1e-9
 # Hermiticity of sampled <x|rho|x'>, which carries reconstruction rounding.
 CV_HERMITIAN_TOL = 1e-10

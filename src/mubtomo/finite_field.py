@@ -12,19 +12,24 @@ import cmath
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import EvenDimension, IndexOutOfRange, NotPrime, ZeroDivisor
+from ._frozen import whole
+from .errors import EvenDimension, IndexOutOfRange, InvariantViolation, NotPrime, ZeroDivisor
 
 
 @dataclass(frozen=True)
 class PrimeModulus:
-    """Validated odd-prime Hilbert-space dimension."""
+    """Validated odd-prime Hilbert-space dimension of any integer type, stored as an int."""
 
     d: int
 
     def __post_init__(self):
-        d = self.d
-        if not isinstance(d, int) or d < 2:
-            raise NotPrime(f"dimension must be an integer >= 2, got {d!r}")
+        try:
+            d = whole("dimension", self.d)
+        except InvariantViolation as exc:
+            raise NotPrime(str(exc)) from None
+        if d < 2:
+            raise NotPrime(f"dimension must be an integer >= 2, got {d}")
+        object.__setattr__(self, "d", d)
         if d == 2:
             raise EvenDimension("d = 2 is excluded; the construction needs an odd prime")
         if d % 2 == 0:

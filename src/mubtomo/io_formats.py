@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ._frozen import axis_step
+from ._frozen import axis
 from .classical_radon import PhaseSpaceGrid, Sinogram
 from .cv_wigner import PositionDensityMatrix
 from .errors import FormatError, UsageError
@@ -160,8 +160,8 @@ def write_wavefunction(path, psi: np.ndarray, x_min: float, x_max: float):
 
 def as_wavefunction(doc, path):
     n, x_min, x_max, data = _load(doc, path, "wavefunction", n=int, x_min=float, x_max=float)
-    axis_step("wavefunction x", n, x_min, x_max)
-    return _array(data, path, (n,), complex), x_min, x_max
+    x = axis("wavefunction x", n, x_min, x_max)
+    return _array(data, path, (n,), complex), x.lo, x.hi
 
 
 def read_wavefunction(path):

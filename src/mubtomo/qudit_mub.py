@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._frozen import freeze_fields
+from ._frozen import freeze_fields, whole
 from .errors import ROUNDING_TOL, IndexOutOfRange, InvariantViolation
 from .finite_field import PrimeModulus
 
@@ -103,6 +103,7 @@ class MubBasisSet:
 
     def __post_init__(self):
         freeze_fields(self, complex, bases=self.bases)
+        vars(self).update(dim=whole("MubBasisSet.dim", self.dim))
         shape = (self.dim + 1, self.dim, self.dim)
         if self.bases.shape != shape:
             raise InvariantViolation(f"bases have shape {self.bases.shape}, expected {shape}")

@@ -106,6 +106,7 @@ class ProbabilityTable:
 
     def __post_init__(self):
         freeze_fields(self, float, values=self.values)
+        vars(self).update(dim=whole("ProbabilityTable.dim", self.dim))
         _check_rows(self.dim, self.values)
         if np.min(self.values) < -ROUNDING_TOL or np.max(self.values) > 1 + ROUNDING_TOL:
             raise InvariantViolation("probabilities must lie in [0, 1]")
@@ -128,6 +129,8 @@ class CountTable:
 
     def __post_init__(self):
         freeze_fields(self, counts=self.counts)
+        vars(self).update(dim=whole("CountTable.dim", self.dim),
+                          shots_per_basis=whole("CountTable.shots_per_basis", self.shots_per_basis))
         _check_rows(self.dim, self.counts)
         if np.min(self.counts) < 0 or not np.issubdtype(self.counts.dtype, np.integer):
             raise InvariantViolation("counts must be nonnegative integers")

@@ -18,16 +18,16 @@ calls anything at import, outside decorators and the ``__main__`` guard:
 tables, kernels and grids are built per call, so importing the package
 costs only its definitions. No module but ``_frozen`` divides by an
 expression ``... - 1``: the step of a uniform axis of n samples,
-span / (n - 1), is computed only by ``axis_step``, and every other module
+span / (n - 1), is computed only by ``axis``, and every other module
 stores or asks for that value; none reads it back off an array as
 ``v[1] - v[0]`` either. No module but ``_frozen`` and ``cli`` checks a
 half-extent with the chain ``0 < ... < np.inf``: the library's symmetric
-axes go through ``half_axis_step``, and ``cli._half_extent`` checks a
+axes go through ``half_axis``, and ``cli._half_extent`` checks a
 command-line flag, whose fault is a usage error (exit 2). Only ``_frozen``
-builds the axis of a frozen type: no ``__post_init__`` calls ``axis_step``,
-and no module but ``_frozen`` defines a property that returns
-``np.linspace``; each type stores its float ends, step and read-only
-samples through ``freeze_axis``.
+builds a sample axis: no module but ``_frozen`` calls ``np.linspace``, so
+every axis is the one ``axis`` or ``half_axis`` checked and handed back,
+and no ``__post_init__`` calls either of them; each frozen type stores its
+float ends, step and read-only samples through ``freeze_axis``.
 """
 
 import ast
@@ -225,18 +225,22 @@ def test_only_frozen_and_cli_check_a_half_extent():
 
 
 def test_only_frozen_builds_a_type_axis():
-    hits = []
-    for name, tree in _trees():
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            calls = [sub for sub in ast.walk(node) if isinstance(sub, ast.Call)]
-            returns = [sub.value for sub in ast.walk(node) if isinstance(sub, ast.Return)]
-            if node.name == "__post_init__" and any(
-                    ast.unparse(call.func).endswith("axis_step") for call in calls):
-                hits.append(f"{name}:{node.lineno} __post_init__ calls axis_step")
-            if name != "_frozen.py" and "property" in map(ast.unparse, node.decorator_list) and any(
-                    isinstance(value, ast.Call) and ast.unparse(value.func) == "np.linspace"
-                    for value in returns):
-                hits.append(f"{name}:{node.lineno} property {node.name} returns np.linspace")
+    hits = [
+        f"{name}:{node.lineno} __post_init__ calls {ast.unparse(call.func)}"
+        for name, tree in _trees() for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and ast.unparse(call.func).split(".")[-1] in ("axis",
+                                                                                   "half_axis")
+    ]
+    assert MODULES and not hits, hits
+
+
+def test_only_frozen_calls_linspace():
+    hits = [
+        f"{name}:{node.lineno} {ast.unparse(node)}"
+        for name, tree in _trees() if name != "_frozen.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "linspace"
+    ]
     assert MODULES and not hits, hits

@@ -23,6 +23,19 @@ def test_composite_rejected():
             assert_odd_prime(d)
 
 
+def test_numpy_integers_are_dimensions():
+    """A dimension of any Python or numpy integer type is stored as a Python int;
+    anything else, a whole float included, is not a dimension."""
+    for d in (np.int64(5), np.int32(7), np.uint8(3), 11):
+        modulus = assert_odd_prime(d)
+        assert modulus.d == d and type(modulus.d) is int
+    with pytest.raises(NotPrime, match=r"^9 = 3 \* 3 is not prime$"):
+        assert_odd_prime(np.int64(9))
+    for bad in (5.0, np.float64(5.0), "5", None):
+        with pytest.raises(NotPrime, match=r"^dimension = .* is not a whole number$"):
+            assert_odd_prime(bad)
+
+
 def test_two_is_its_own_error():
     with pytest.raises(EvenDimension):
         assert_odd_prime(2)

@@ -1,7 +1,9 @@
-"""Every frozen dataclass stores read-only, finite copies of the arrays it is given
-and, through ``freeze_axis``, float extents and read-only samples of its axes;
-every owner of a uniform sample axis checks it by the one rule of ``axis_step``,
-and every owner of a set of projection angles by the one rule of ``angle_set``."""
+"""Every frozen dataclass stores read-only, finite copies of the arrays it is given,
+its whole-number fields as Python ints and, through ``freeze_axis``, float extents
+and read-only samples of its axes; every owner of a uniform sample axis checks it by
+the one rule of ``axis`` and computes only from the axis that hands back, so an
+extent of any number type gives the output of its float, and every owner of a set
+of projection angles follows the one rule of ``angle_set``."""
 
 import json
 import re
@@ -9,8 +11,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mubtomo.classical_radon import PhaseSpaceGrid, Sinogram, inverse_radon, radon_forward
+from mubtomo.classical_radon import (PhaseSpaceGrid, Sinogram, inverse_radon, project_at_angle,
+                                     radon_forward)
 from mubtomo.cv_wigner import (PositionDensityMatrix, density_from_wavefunction, ground_state,
                                quadrature_distribution, quadrature_sinogram,
                                reconstruct_density_continuous, wigner_from_density)
@@ -89,7 +94,7 @@ def _axis_owners():
     ``make(n, lo, hi)`` builds an axis of n samples from lo to hi, ``ends``
     are ordered finite ends, and an array-backed axis takes no negative n.
     An owner of a symmetric axis (``half``) takes only its half-extent hi,
-    which ``half_axis_step`` names as ``<name>_max`` unless it is finite and
+    which ``half_axis`` names as ``<name>_max`` unless it is finite and
     positive."""
     grid = PhaseSpaceGrid(np.ones((8, 8)) / 4.0, -1.0, 1.0, -1.0, 1.0)
     sino = Sinogram(np.ones((4, 16)), np.arange(4) * np.pi / 4, -3.0, 3.0)
@@ -233,6 +238,88 @@ def test_an_axis_spanning_the_float_range_builds_without_a_warning():
         grid = PhaseSpaceGrid(np.ones((4, 4)), 0.0, top, -top / 2, top / 2)
     assert grid.x[-1] == top and grid.p[-1] == top / 2
     assert np.isfinite(grid.x).all() and np.isfinite(grid.p).all()
+
+
+def _whole_fields():
+    """Each whole-number field of a frozen type as (name, make, writer):
+    ``make(v)`` builds the type with that field set to v."""
+    yield ("ProbabilityTable.dim", lambda v: ProbabilityTable(v, np.full((3, 2), 0.5)),
+           iof.write_probability_table)
+    yield "CountTable.dim", lambda v: CountTable(v, 4, np.full((3, 2), 2)), iof.write_count_table
+    yield ("CountTable.shots_per_basis", lambda v: CountTable(2, v, np.full((3, 2), 2)),
+           iof.write_count_table)
+    yield ("MubBasisSet.dim", lambda v: MubBasisSet(v, np.stack([np.eye(2, dtype=complex)] * 3)),
+           iof.write_mub_set)
+
+
+_WHOLE = pytest.mark.parametrize("name, make, writer", list(_whole_fields()),
+                                 ids=[name for name, _, _ in _whole_fields()])
+
+
+@_WHOLE
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8, int])
+def test_whole_fields_of_any_integer_type_write_the_int_bytes(tmp_path, name, make, writer, kind):
+    """A size or shot count is stored as a Python int, so a type built from a
+    numpy integer writes the JSON of the int-built one."""
+    obj = make(kind(2 if name.endswith("dim") else 4))
+    assert type(getattr(obj, name.split(".")[1])) is int
+    writer(tmp_path / "typed", obj)
+    writer(tmp_path / "int", make(2 if name.endswith("dim") else 4))
+    assert (tmp_path / "typed").read_bytes() == (tmp_path / "int").read_bytes()
+
+
+@_WHOLE
+@pytest.mark.parametrize("bad", [2.0, np.float64(4.0), "2"], ids=["float", "float64", "str"])
+def test_whole_fields_reject_other_numbers_by_name(name, make, writer, bad):
+    """A whole float is not a size: it would be written as 2.0 and read back as 2."""
+    with pytest.raises(InvariantViolation,
+                       match=rf"^{name} = {re.escape(repr(bad))} is not a whole number$"):
+        make(bad)
+
+
+def _extent_takers():
+    """Each function that takes an extent as (call, lo, hi): ``call(v)`` hands it
+    the extent v, or the ends -v and v, with v in [lo, hi]."""
+    psi = ground_state(np.linspace(-6.0, 6.0, 48))
+    rho = density_from_wavefunction(psi, -6.0, 6.0)
+    grid = PhaseSpaceGrid(np.ones((8, 8)) / 4.0, -1.0, 1.0, -1.0, 1.0)
+    sino = radon_forward(grid, np.arange(8) * np.pi / 8, 16)
+    quads = quadrature_sinogram(rho, np.arange(16) * np.pi / 16)
+    yield lambda v: wigner_from_density(rho, 16, p_max=v), 1, 5
+    yield lambda v: inverse_radon(sino, 8, 9, x_min=-v, x_max=v, p_min=-v, p_max=v), 1, 2
+    yield lambda v: reconstruct_density_continuous(quads, x_max=v), 1, 5
+    yield lambda v: radon_forward(grid, np.arange(4) * np.pi / 4, 12, s_max=v), 2, 5
+    yield lambda v: project_at_angle(grid, 4.0, 12, s_max=v), 2, 5
+    yield lambda v: density_from_wavefunction(psi, -v, v), 4, 8
+
+
+_TAKER_IDS = ["wigner_from_density", "inverse_radon", "reconstruct_density_continuous",
+              "radon_forward", "project_at_angle", "density_from_wavefunction"]
+
+
+def _arrays(result):
+    """The arrays of a result, its frozen types' values and axes included."""
+    if isinstance(result, tuple):
+        return [arr for part in result for arr in _arrays(part)]
+    if isinstance(result, (PhaseSpaceGrid, Sinogram, PositionDensityMatrix)):
+        return [result.values] + [getattr(result, name) for name in ("x", "p", "s")
+                                  if hasattr(result, name)]
+    return [np.asarray(result)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(share=st.floats(0.0, 1.0))
+@pytest.mark.parametrize("kind", [np.float32, np.int64, int], ids=["float32", "int64", "int"])
+@pytest.mark.parametrize("call, lo, hi", list(_extent_takers()), ids=_TAKER_IDS)
+def test_extents_of_any_number_type_give_the_float_output(call, lo, hi, kind, share):
+    """Every function that takes an extent computes only from the axis the
+    axis rule hands back, so an extent of any number type gives, bit for bit
+    and on float64 axes, the output of the float of the same value."""
+    value = lo + share * (hi - lo)
+    typed = kind(value) if kind is np.float32 else kind(round(value))
+    for got, want in zip(_arrays(call(typed)), _arrays(call(float(typed))), strict=True):
+        assert got.dtype == want.dtype and got.dtype in (np.float64, np.complex128)
+        assert np.array_equal(got, want)
 
 
 def _read_sinogram(thetas, path):

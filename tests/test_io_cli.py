@@ -934,9 +934,9 @@ def test_cli_wigner_density_axis_must_match(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["wigner", "quads"])
 def test_cli_rejects_a_wavefunction_axis_before_resampling(tmp_path, capsys, psi, x_min, x_max,
                                                            error, named, command):
-    """A wavefunction file's axis follows the axis rule when it is read, so
-    ``wigner``, which resamples it, cannot turn reversed extents or a single
-    sample into a state."""
+    """A wavefunction file's axis follows the axis rule when it is read, before
+    any flag is matched against it, so neither command can turn reversed
+    extents or a single sample into a state."""
     pfile = tmp_path / "psi.json"
     iof.write_wavefunction(pfile, psi.astype(complex), x_min, x_max)
     argv = [command, "--state", str(pfile), "--out", str(tmp_path / "out.json")]
@@ -945,6 +945,48 @@ def test_cli_rejects_a_wavefunction_axis_before_resampling(tmp_path, capsys, psi
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"{error}: {named}")
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["wavefunction", "density"])
+@pytest.mark.parametrize("flags, asked", [
+    (["--grid", "128", "--xmax", "6"], "--grid 128 --xmax 6.0"),
+    (["--grid", "128"], "--grid 128"),
+    (["--xmax", "5"], "--xmax 5.0"),
+    (["--grid", "64", "--xmax", "6.5"], "--grid 64 --xmax 6.5"),
+], ids=["grid", "grid-only", "xmax-only", "xmax"])
+def test_cli_wigner_rejects_a_state_off_the_asked_axis(tmp_path, capsys, kind, flags, asked):
+    """``wigner`` reads a state file of either kind on its own axis; ``--grid``
+    and ``--xmax`` must match that axis, and one usage error names both."""
+    x = np.linspace(-6, 6, 64)
+    pfile, out = tmp_path / "state.json", tmp_path / "w.json"
+    if kind == "wavefunction":
+        iof.write_wavefunction(pfile, ground_state(x).astype(complex), -6, 6)
+    else:
+        iof.write_position_density(pfile, density_from_wavefunction(ground_state(x), -6, 6))
+    assert main(["wigner", "--state", str(pfile), *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"UsageError: state file axis (64 points on [-6.0, 6.0]) does not match {asked}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["wavefunction", "density"])
+@pytest.mark.parametrize("extra", [[], ["--np", "40", "--pmax", "3.7"]], ids=["default", "p"])
+def test_cli_wigner_flags_only_check_the_axis(tmp_path, kind, extra):
+    """Without ``--grid`` and ``--xmax`` the state's own axis is used and the
+    default p_max is the library's, so the bytes are those of matching flags."""
+    x = np.linspace(-6, 6, 64)
+    pfile = tmp_path / "state.json"
+    psi = (ground_state(x - 0.5) * np.exp(0.7j * x)).astype(complex)
+    if kind == "wavefunction":
+        iof.write_wavefunction(pfile, psi, -6, 6)
+    else:
+        iof.write_position_density(pfile, density_from_wavefunction(psi, -6, 6))
+    outputs = []
+    for flags in ([], ["--grid", "64"], ["--xmax", "6"], ["--grid", "64", "--xmax", "6"]):
+        out = tmp_path / f"w{len(outputs)}.json"
+        assert main(["wigner", "--state", str(pfile), *flags, *extra, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1:] == outputs[:1] * 3
 
 
 def test_cli_aliased_wigner_exits_4(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mubtomo.errors import IndexOutOfRange, InvariantViolation
 from mubtomo.finite_field import PrimeModulus
@@ -17,6 +20,7 @@ from mubtomo.qudit_mub import (
     shift_operator,
     weyl_operator,
 )
+from mubtomo.qudit_tomography import qudit_wigner
 
 TOL = 1e-12
 
@@ -251,3 +255,97 @@ def test_operator_set_spans_all_matrices(d):
         rec += np.trace(M @ A) * A.conj().T
     rec /= d
     assert np.max(np.abs(rec - M)) <= 1e-10
+
+
+# Property sweeps: the canonical set's three routes against the dense products
+# of ``MubBasisSet``, the oracle, for every odd prime up to 61 and states of
+# every rank, pure ones included.
+SWEEP_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
+
+
+@functools.lru_cache(maxsize=None)
+def _dense(d):
+    """The canonical bases as a plain MubBasisSet, which takes the dense route."""
+    return MubBasisSet(dim=d, bases=build_mub_set(PrimeModulus(d)).bases)
+
+
+def _rank_state(d, rank, seed):
+    """A random density matrix of dimension d and the given rank."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    rho = A @ A.conj().T
+    return rho / np.trace(rho).real
+
+
+# (d, rank) with the rank anywhere from 1 (pure) to d (full)
+_STATES = st.sampled_from(SWEEP_PRIMES).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(1, d)))
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(state=_STATES, seed=_SEEDS)
+@example(state=(61, 1), seed=0)
+def test_born_rows_match_the_dense_set(state, seed):
+    d, rank = state
+    rho = _rank_state(d, rank, seed)
+    assert np.max(np.abs(build_mub_set(PrimeModulus(d))._born_rows(rho)
+                         - _dense(d)._born_rows(rho))) <= TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(state=_STATES, seed=_SEEDS, noise=st.floats(0.0, 1.0))
+@example(state=(61, 1), seed=0, noise=0.0)
+def test_inversion_matches_the_dense_set_and_is_exactly_hermitian(state, seed, noise):
+    """The Born rows of a state, with nonnegative noise that need not keep
+    their unit sums: the canonical inversion is the dense affine formula and
+    writes each diagonal and its conjugate transpose, so it is Hermitian
+    to the bit; without noise it returns the state."""
+    d, rank = state
+    rho = _rank_state(d, rank, seed)
+    rows = _dense(d)._born_rows(rho)
+    values = rows + noise * np.random.default_rng(seed).random(rows.shape) / d
+    fast = build_mub_set(PrimeModulus(d))._invert(values)
+    assert np.max(np.abs(fast - _dense(d)._invert(values))) <= TOL
+    assert np.array_equal(fast, fast.conj().T)
+    if noise == 0.0:
+        assert np.max(np.abs(fast - rho)) <= TOL
+
+
+@settings(max_examples=20, deadline=None)
+@given(pair=st.sampled_from(SWEEP_PRIMES).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(st.integers(0, d - 1), min_size=2, max_size=2,
+                                             unique=True))))
+@example(pair=(61, [59, 60]))
+def test_overlap_moduli_match_the_dense_set(pair):
+    """The canonical set yields the moduli of its d amplitudes and of its
+    cross overlaps <b;c|b';c'>, keyed by (b' - b - 1, c' - c) mod d; the dense
+    moduli of a pair of bases b != b' are those at their keys, and every
+    modulus is 1/sqrt(d)."""
+    d, (b, bp) = pair[0], sorted(pair[1])
+    amplitudes, cross = build_mub_set(PrimeModulus(d))._overlap_moduli()
+    assert amplitudes.shape == (d,) and cross.shape == (d - 1, d)
+    # the dense set yields basis 0 against the d others first, then the
+    # pairs of bases 1 + b in the order of itertools.combinations
+    index = d + list(itertools.combinations(range(d), 2)).index((b, bp))
+    dense = next(itertools.islice(_dense(d)._overlap_moduli(), index, None))
+    c = np.arange(d)
+    assert np.max(np.abs(dense - cross[(bp - b) - 1][(c - c[:, np.newaxis]) % d])) <= TOL
+    for moduli in (amplitudes, cross, dense):
+        assert np.max(np.abs(moduli - 1 / np.sqrt(d))) <= TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(state=_STATES, seed=_SEEDS)
+@example(state=(61, 1), seed=0)
+def test_qudit_wigner_line_sums_are_the_dense_rows(state, seed):
+    """Row 0 is sum_p W[q, p]; row 1 + b at c = -(k + b h) mod d, h = 2^-1
+    mod d, is the sum of W along the line p = b q + k."""
+    d, rank = state
+    rho = _rank_state(d, rank, seed)
+    W, rows = qudit_wigner(rho), _dense(d)._born_rows(rho)
+    q, h = np.arange(d), (d + 1) // 2
+    b, k = np.ogrid[:d, :d]
+    lines = W[q, (b[..., np.newaxis] * q + k[..., np.newaxis]) % d].sum(axis=-1)
+    assert np.max(np.abs(W.sum(axis=1) - rows[0])) <= TOL
+    assert np.max(np.abs(lines - rows[1 + b, (-(k + b * h)) % d])) <= TOL
